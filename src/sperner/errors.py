@@ -46,9 +46,5 @@ class UnknownBound(SpernerError):
     """Unrecognized bound identifier."""
 
 
-class BudgetExhausted(SpernerError):
-    """Search budget ran out (exact engines instead return best-so-far)."""
-
-
 class WitnessFormatError(SpernerError):
     """Witness JSON violates the schema; message names the violation."""

@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
 SPERNER_BACKEND picks the implementation: "compiled" insists on the
-extension module, "pure" forces the Python kernels, "auto" (default)
-prefers compiled and falls back silently.
+C library built from ckernels.c, "pure" forces the Python kernels,
+"auto" (default) prefers compiled and falls back silently.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ def _load():
     if choice == "pure":
         return _kernels_py
     try:
-        from . import _kernels  # type: ignore[attr-defined]
+        from . import _kernels
 
         return _kernels
-    except ImportError:
+    except ImportError as exc:
         if choice == "compiled":
             raise ImportError(
-                "SPERNER_BACKEND=compiled but the extension module is not "
-                "built; reinstall with Cython available or unset the variable"
-            )
+                f"SPERNER_BACKEND=compiled, but {exc}; build them with "
+                "`python setup.py build_ext --inplace` or unset the variable"
+            ) from exc
         return _kernels_py
 
 

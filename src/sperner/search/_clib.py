@@ -1,0 +1,160 @@
+"""ctypes bindings of the compiled search kernels (ckernels.c).
+
+`Library(path)` loads one built copy of the C library and exposes the
+kernel contract of `_kernels_py`: the same arguments, and results that
+compare `==`-equal, lists and tuples alike.  ctypes releases the
+interpreter lock for the length of each call, so annealing chains on
+separate threads run in parallel.
+
+C has no bounds checks, so every argument that sizes a buffer or indexes
+one is checked here first; a bad one raises ValueError before the call.
+Deadlines are passed as seconds left, so the library can measure them on
+its own monotonic clock.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import time
+from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint8, c_uint64
+
+ANNEAL_MAX_GROUND = 6
+_MAX_K = 255  # annealer labels are bytes
+_WORD = 64
+_MASK64 = (1 << 64) - 1
+
+_SIGNATURES = {
+    "sperner_sm64_next": (c_uint64, [POINTER(c_uint64)]),
+    "sperner_comp_scan": (None, [
+        c_int64, POINTER(c_uint64), POINTER(c_int64),
+        c_int64, POINTER(c_uint64), POINTER(c_int64), c_int,
+        POINTER(c_int64), POINTER(c_int64), POINTER(c_int64)]),
+    "sperner_exact_search": (c_int, [
+        c_int, c_int, c_int, POINTER(c_int64), POINTER(c_uint64), c_int64,
+        c_int64, c_int64, c_int, c_double,
+        POINTER(c_int64), POINTER(c_uint8), POINTER(c_int64),
+        POINTER(c_int), POINTER(c_int)]),
+    "sperner_anneal_chain": (c_int, [
+        c_int, c_int, c_int, c_int, POINTER(c_int), c_int, POINTER(c_uint8),
+        c_uint64, c_int64, c_double, c_double, c_int64, c_int64, c_int,
+        c_double, POINTER(c_int64), POINTER(c_uint8), POINTER(c_int64)]),
+}
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _array(ctype, values):
+    values = list(values)
+    return (ctype * len(values))(*values)
+
+
+def _within(values, bits: int) -> bool:
+    """Every value is a non-negative integer below 2**bits."""
+    return all(0 <= v and not v >> bits for v in values)
+
+
+def _time_left(deadline) -> tuple[int, float]:
+    if not deadline:
+        return 0, 0.0
+    return 1, deadline - time.monotonic()
+
+
+class Library:
+    """The kernels of one compiled library file."""
+
+    BACKEND = "compiled"
+    ANNEAL_MAX_GROUND = ANNEAL_MAX_GROUND
+
+    def __init__(self, path: str):
+        try:
+            lib = ctypes.CDLL(path)
+            fns = {name: getattr(lib, name) for name in _SIGNATURES}
+        except (OSError, AttributeError) as exc:  # not a library, or a stale one
+            raise ImportError(f"cannot load the compiled kernels at {path}: {exc}") from exc
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            fns[name].restype = restype
+            fns[name].argtypes = argtypes
+        self._lib = lib
+
+    def sm64_next(self, state):
+        """One generator step, exposed so the backends can be diffed draw
+        by draw.  Returns (new_state, value)."""
+        s = c_uint64(state & _MASK64)
+        z = self._lib.sperner_sm64_next(byref(s))
+        return s.value, z
+
+    def comp_scan(self, upsets, usizes, downsets, dsizes, total):
+        """Same contract as the pure version: per intersection size t, the
+        minimum |U| + |D| - t and the first pair in scan order attaining it."""
+        _check(0 <= total <= _WORD, f"comp_scan needs total <= {_WORD}, got {total}")
+        _check(len(usizes) == len(upsets) and len(dsizes) == len(downsets),
+               "comp_scan needs one size per upset and per downset")
+        _check(_within(upsets, total) and _within(downsets, total),
+               f"comp_scan bitsets must lie below bit {total}")
+        best = (c_int64 * (total + 1))()
+        bu = (c_int64 * (total + 1))()
+        bd = (c_int64 * (total + 1))()
+        self._lib.sperner_comp_scan(
+            len(upsets), _array(c_uint64, upsets), _array(c_int64, usizes),
+            len(downsets), _array(c_uint64, downsets), _array(c_int64, dsizes),
+            total, best, bu, bd)
+        return best[:], bu[:], bd[:]
+
+    def exact_search(self, m_count, k, product, masks, cmp_fwd, floor_value,
+                     target, node_budget, deadline):
+        """Same contract as the pure version; see there for the search story."""
+        _check(0 <= m_count <= _WORD,
+               f"exact_search needs m_count <= {_WORD}, got {m_count}")
+        _check(k >= 1, f"exact_search needs k >= 1, got {k}")
+        _check(len(masks) == m_count and len(cmp_fwd) == m_count,
+               "exact_search needs one mask and one comparability row per index")
+        _check(_within(cmp_fwd, m_count),
+               f"exact_search comparability rows must lie below bit {m_count}")
+        best = c_int64()
+        nodes = c_int64()
+        has_labels = c_int()
+        completed = c_int()
+        labels = (c_uint8 * m_count)()
+        timed, left = _time_left(deadline)
+        rc = self._lib.sperner_exact_search(
+            m_count, k, bool(product), _array(c_int64, masks),
+            _array(c_uint64, cmp_fwd), floor_value, target or 0,
+            node_budget or 0, timed, left,
+            byref(best), labels, byref(nodes), byref(has_labels), byref(completed))
+        if rc:
+            raise MemoryError("exact_search ran out of memory")
+        return (best.value, labels[:] if has_labels.value else None, nodes.value,
+                bool(completed.value))
+
+    def anneal_chain(self, n, k, product, usable, variants, seed, steps, t0,
+                     alpha, restart_interval, stop_value, deadline):
+        """Same contract and trajectory as the pure version, one word per
+        bitset; n must stay at or below ANNEAL_MAX_GROUND."""
+        _check(0 <= n <= ANNEAL_MAX_GROUND,
+               f"compiled annealer is limited to n <= {ANNEAL_MAX_GROUND}, got {n}")
+        _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
+        total = 1 << n
+        _check(1 <= len(usable) <= total and _within(usable, n),
+               f"annealer usable masks must be 1 to {total} masks below {total}")
+        _check(len(variants) >= 1, "annealer needs at least one starting labeling")
+        flat = []
+        for labels in variants:
+            _check(len(labels) == total,
+                   f"annealer variants need 2**n = {total} labels, got {len(labels)}")
+            flat.extend(labels)
+        _check(all(0 <= lab <= k for lab in flat), f"annealer labels must lie in 0..{k}")
+        best = c_int64()
+        done = c_int64()
+        best_labels = (c_uint8 * total)()
+        timed, left = _time_left(deadline)
+        rc = self._lib.sperner_anneal_chain(
+            n, k, bool(product), len(usable), _array(c_int, usable), len(variants),
+            _array(c_uint8, flat), seed & _MASK64, steps, t0, alpha,
+            restart_interval, stop_value or 0, timed, left,
+            byref(best), best_labels, byref(done))
+        if rc:
+            raise MemoryError("anneal_chain ran out of memory")
+        return best.value, best_labels[:], done.value

@@ -24,10 +24,6 @@ FREE = 0
 DEAD = 255
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 # -- splitmix64, mirrored bit for bit by the compiled kernel ----------------
 
 
@@ -56,44 +52,32 @@ def _rand_unit(state: int) -> tuple[int, float]:
 def comp_scan(upsets, usizes, downsets, dsizes, total):
     """For each intersection size t, the minimum of |U| + |D| - t over all
     (upset, downset) pairs with |U & D| = t, plus the first pair in scan
-    order attaining that minimum.  Pure fallback uses numpy when present,
-    plain loops otherwise."""
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        np = None
-    best = [_INF] * (total + 1)
+    order attaining that minimum.  Vectorized with numpy (bitwise_count
+    needs numpy >= 2.0); imported here so that importing the package
+    does not load numpy."""
+    import numpy as np
+
     bu = [-1] * (total + 1)
     bd = [-1] * (total + 1)
-    if np is not None:
-        d_arr = np.asarray(downsets, dtype=np.uint64)
-        ds_arr = np.asarray(dsizes, dtype=np.int64)
-        best_a = np.full(total + 1, _INF, dtype=np.int64)
-        for i, u in enumerate(upsets):
-            t = np.bitwise_count(np.uint64(u) & d_arr).astype(np.int64)
-            np.minimum.at(best_a, t, usizes[i] + ds_arr - t)
-        found = np.zeros(total + 1, dtype=bool)
-        for i, u in enumerate(upsets):
-            t = np.bitwise_count(np.uint64(u) & d_arr).astype(np.int64)
-            v = usizes[i] + ds_arr - t
-            hits = np.flatnonzero((v == best_a[t]) & ~found[t])
-            for j in hits:
-                tj = int(t[j])
-                if not found[tj]:
-                    found[tj] = True
-                    bu[tj], bd[tj] = i, int(j)
-            if found.all():
-                break
-        return best_a.tolist(), bu, bd
+    d_arr = np.asarray(downsets, dtype=np.uint64)
+    ds_arr = np.asarray(dsizes, dtype=np.int64)
+    best_a = np.full(total + 1, _INF, dtype=np.int64)
     for i, u in enumerate(upsets):
-        su = usizes[i]
-        for j, d in enumerate(downsets):
-            t = _popcount(u & d)
-            v = su + dsizes[j] - t
-            if v < best[t]:
-                best[t] = v
-                bu[t], bd[t] = i, j
-    return best, bu, bd
+        t = np.bitwise_count(np.uint64(u) & d_arr).astype(np.int64)
+        np.minimum.at(best_a, t, usizes[i] + ds_arr - t)
+    found = np.zeros(total + 1, dtype=bool)
+    for i, u in enumerate(upsets):
+        t = np.bitwise_count(np.uint64(u) & d_arr).astype(np.int64)
+        v = usizes[i] + ds_arr - t
+        hits = np.flatnonzero((v == best_a[t]) & ~found[t])
+        for j in hits:
+            tj = int(t[j])
+            if not found[tj]:
+                found[tj] = True
+                bu[tj], bd[tj] = i, int(j)
+        if found.all():
+            break
+    return best_a.tolist(), bu, bd
 
 
 # -- exact label-assignment DFS ---------------------------------------------

@@ -1,0 +1,811 @@
+/*
+ * Compiled search kernels, in plain C99 with no Python headers.
+ *
+ * Mirrors _kernels_py.py operation for operation: same RNG draws in the
+ * same order, same float expressions, same tie-breaks, same deadline
+ * cadence and node counts.  A fixed seed therefore produces identical
+ * trajectories on either backend; the tests rely on it.  The annealer
+ * packs each family bitset into one 64-bit word, so it only serves
+ * grounds with at most ANNEAL_MAX_GROUND elements; the engine falls back
+ * to the pure kernel above that.
+ *
+ * _clib.py binds the exported sperner_* functions with ctypes and, before
+ * each call, checks every argument that sizes or indexes a buffer; the
+ * kernels trust them.
+ * Deadlines arrive as seconds left, measured on this file's own
+ * monotonic clock.  Build with `python setup.py build_ext --inplace`.
+ * Compile in a standard mode (-std=c99): GCC then keeps floating-point
+ * expressions uncontracted, as the pure kernels evaluate them.
+ */
+
+#define _POSIX_C_SOURCE 200809L
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+
+#define ANNEAL_MAX_GROUND 6
+#define ANNEAL_MAX_K 255 /* labels are bytes */
+#define FREE 0
+#define DEAD 255
+
+static const int64_t INF = (int64_t)1 << 60;
+
+static double mono(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec + ts.tv_nsec * 1e-9;
+}
+
+static double deadline_of(int timed, double time_left)
+{
+    return timed ? mono() + time_left : 0.0;
+}
+
+static int popcount64(uint64_t x)
+{
+#if defined(__GNUC__)
+    return __builtin_popcountll(x);
+#else
+    int c = 0;
+    while (x) {
+        x &= x - 1;
+        c++;
+    }
+    return c;
+#endif
+}
+
+/* index of the lowest set bit; x must be non-zero */
+static int lowest_bit(uint64_t x)
+{
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    int c = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        c++;
+    }
+    return c;
+#endif
+}
+
+/* -- splitmix64, bit for bit as in the pure kernels ----------------------- */
+
+static uint64_t sm64(uint64_t *state)
+{
+    uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* Lemire multiply-shift: the high word of the 128-bit product z * bound */
+static uint64_t rand_below(uint64_t *state, uint64_t bound)
+{
+    uint64_t z = sm64(state);
+    uint64_t zl = z & 0xFFFFFFFFu, zh = z >> 32;
+    uint64_t bl = bound & 0xFFFFFFFFu, bh = bound >> 32;
+    uint64_t ll = zl * bl, lh = zl * bh, hl = zh * bl, hh = zh * bh;
+    uint64_t mid = (ll >> 32) + (lh & 0xFFFFFFFFu) + (hl & 0xFFFFFFFFu);
+    return hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
+}
+
+static double rand_unit(uint64_t *state)
+{
+    return (sm64(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+uint64_t sperner_sm64_next(uint64_t *state)
+{
+    return sm64(state);
+}
+
+/* -- monotone pair scan --------------------------------------------------- */
+
+/* Per intersection size t in 0..total, the minimum |U| + |D| - t and the
+ * first (upset, downset) pair in scan order attaining it. */
+void sperner_comp_scan(int64_t n_up, const uint64_t *ups, const int64_t *usizes,
+                       int64_t n_down, const uint64_t *downs,
+                       const int64_t *dsizes, int total, int64_t *best,
+                       int64_t *bu, int64_t *bd)
+{
+    int64_t i, j, v, su;
+    uint64_t u;
+    int t;
+    for (t = 0; t <= total; t++) {
+        best[t] = INF;
+        bu[t] = -1;
+        bd[t] = -1;
+    }
+    for (i = 0; i < n_up; i++) {
+        u = ups[i];
+        su = usizes[i];
+        for (j = 0; j < n_down; j++) {
+            t = popcount64(u & downs[j]);
+            v = su + dsizes[j] - t;
+            if (v < best[t]) {
+                best[t] = v;
+                bu[t] = i;
+                bd[t] = j;
+            }
+        }
+    }
+}
+
+/* -- exact label-assignment DFS ------------------------------------------- */
+
+typedef struct {
+    int M;
+    int k;
+    int product;
+    const int64_t *masks;
+    const uint64_t *cmp;
+    uint8_t *labels;
+    uint8_t *pins; /* (M + 1) rows of M */
+    int64_t *counts;
+    int64_t best;
+    uint8_t *best_labels;
+    int has_labels;
+    int64_t *best_key;
+    int best_key_len;
+    int64_t *key_buf;
+    int64_t *tmp;
+    int64_t *starts;
+    int64_t *lens;
+    int64_t *ford;
+    int64_t *wf;
+    int64_t nodes;
+    int64_t target;
+    int64_t node_budget;
+    double deadline;
+    int aborted;
+} Ctx;
+
+/* The canonical key of the current labeling: each family's members
+ * ascending, families ordered by least member, -1 between families. */
+static int build_key(Ctx *c, int64_t *out)
+{
+    int pos = 0, i, j, jj, a, b, klen;
+    int64_t x;
+    for (j = 1; j <= c->k; j++) {
+        c->starts[j] = pos;
+        for (i = 0; i < c->M; i++)
+            if (c->labels[i] == j)
+                c->tmp[pos++] = c->masks[i];
+        /* insertion sort this family's members ascending */
+        for (a = (int)c->starts[j] + 1; a < pos; a++) {
+            x = c->tmp[a];
+            b = a - 1;
+            while (b >= c->starts[j] && c->tmp[b] > x) {
+                c->tmp[b + 1] = c->tmp[b];
+                b--;
+            }
+            c->tmp[b + 1] = x;
+        }
+        c->lens[j] = pos - c->starts[j];
+    }
+    for (j = 0; j < c->k; j++)
+        c->ford[j] = j + 1;
+    /* order families by least member (members are disjoint across families) */
+    for (a = 0; a < c->k; a++) {
+        b = a;
+        for (jj = a + 1; jj < c->k; jj++)
+            if (c->tmp[c->starts[c->ford[jj]]] < c->tmp[c->starts[c->ford[b]]])
+                b = jj;
+        x = c->ford[a];
+        c->ford[a] = c->ford[b];
+        c->ford[b] = x;
+    }
+    klen = 0;
+    for (a = 0; a < c->k; a++) {
+        j = (int)c->ford[a];
+        if (a)
+            out[klen++] = -1;
+        for (i = (int)c->starts[j]; i < (int)(c->starts[j] + c->lens[j]); i++)
+            out[klen++] = c->tmp[i];
+    }
+    return klen;
+}
+
+static int cmp_key(const int64_t *a, int la, const int64_t *b, int lb)
+{
+    int i, n = la < lb ? la : lb;
+    for (i = 0; i < n; i++)
+        if (a[i] != b[i])
+            return a[i] < b[i] ? -1 : 1;
+    return la == lb ? 0 : (la < lb ? -1 : 1);
+}
+
+/* Max of prod(v_i + x_i) over x >= 0 with sum(x) = units, where v holds
+ * the used families' counts padded with zeros: raise the lowest first. */
+static int64_t waterfill(Ctx *c, int used, int64_t units)
+{
+    int i, a, b, cnt;
+    int64_t x, lev, u, gap, base, r, bound;
+    for (i = 0; i < used; i++)
+        c->wf[i] = c->counts[i + 1];
+    for (i = used; i < c->k; i++)
+        c->wf[i] = 0;
+    for (a = 1; a < c->k; a++) {
+        x = c->wf[a];
+        b = a - 1;
+        while (b >= 0 && c->wf[b] > x) {
+            c->wf[b + 1] = c->wf[b];
+            b--;
+        }
+        c->wf[b + 1] = x;
+    }
+    lev = c->wf[0];
+    cnt = 1;
+    u = units;
+    i = 1;
+    while (i < c->k) {
+        gap = c->wf[i] - lev;
+        if (cnt * gap > u)
+            break;
+        u -= cnt * gap;
+        lev = c->wf[i];
+        cnt++;
+        i++;
+    }
+    base = lev + u / cnt;
+    r = u % cnt;
+    bound = 1;
+    for (i = 0; i < (int)r; i++)
+        bound *= base + 1;
+    for (i = 0; i < cnt - (int)r; i++)
+        bound *= base;
+    for (i = cnt; i < c->k; i++)
+        bound *= c->wf[i];
+    return bound;
+}
+
+static void leaf(Ctx *c, int used, int64_t cur_sum)
+{
+    int64_t v;
+    int j, klen, rel;
+    if (used != c->k)
+        return;
+    if (c->product) {
+        v = 1;
+        for (j = 1; j <= c->k; j++)
+            v *= c->counts[j];
+    } else {
+        v = cur_sum;
+    }
+    if (v > c->best) {
+        c->best = v;
+        memcpy(c->best_labels, c->labels, c->M);
+        c->has_labels = 1;
+        c->best_key_len = build_key(c, c->best_key);
+    } else if (v == c->best) {
+        klen = build_key(c, c->key_buf);
+        rel = c->has_labels ? cmp_key(c->key_buf, klen, c->best_key, c->best_key_len)
+                            : -1;
+        if (rel < 0) {
+            memcpy(c->best_labels, c->labels, c->M);
+            c->has_labels = 1;
+            memcpy(c->best_key, c->key_buf, klen * sizeof(int64_t));
+            c->best_key_len = klen;
+        }
+    }
+}
+
+static void rec(Ctx *c, int d, int used, int64_t cur_sum, const uint8_t *pin)
+{
+    int i, p, n_choices, ci, cval;
+    int64_t free_rem, pin_rem, bound;
+    uint64_t fwd;
+    uint8_t *child, q;
+    c->nodes++;
+    if (c->aborted || (c->node_budget && c->nodes > c->node_budget)) {
+        c->aborted = 1;
+        return;
+    }
+    if (c->target && c->best >= c->target) {
+        c->aborted = 1;
+        return;
+    }
+    if (c->deadline && c->nodes % 4096 == 0 && mono() > c->deadline) {
+        c->aborted = 1;
+        return;
+    }
+    if (d == c->M) {
+        leaf(c, used, cur_sum);
+        return;
+    }
+    free_rem = 0;
+    pin_rem = 0;
+    for (i = d; i < c->M; i++) {
+        p = pin[i];
+        if (p == FREE)
+            free_rem++;
+        else if (p != DEAD)
+            pin_rem++;
+    }
+    if (used < c->k && free_rem < c->k - used)
+        return;
+    if (c->product)
+        bound = waterfill(c, used, free_rem + pin_rem);
+    else
+        bound = cur_sum + free_rem + pin_rem;
+    if (bound < c->best)
+        return;
+    p = pin[d];
+    if (p == DEAD)
+        n_choices = 0;
+    else if (p == FREE)
+        n_choices = used < c->k ? used + 1 : c->k;
+    else
+        n_choices = 1;
+    child = c->pins + (size_t)(d + 1) * c->M;
+    for (ci = 0; ci < n_choices; ci++) {
+        cval = p == FREE ? ci + 1 : p;
+        c->labels[d] = (uint8_t)cval;
+        c->counts[cval]++;
+        memcpy(child, pin, c->M);
+        for (fwd = c->cmp[d]; fwd; fwd &= fwd - 1) {
+            i = lowest_bit(fwd);
+            q = child[i];
+            if (q == FREE)
+                child[i] = (uint8_t)cval;
+            else if (q != cval)
+                child[i] = DEAD;
+        }
+        rec(c, d + 1, used + (cval > used ? 1 : 0), cur_sum + 1, child);
+        c->counts[cval]--;
+        if (c->aborted) {
+            c->labels[d] = 0;
+            return;
+        }
+    }
+    c->labels[d] = 0;
+    rec(c, d + 1, used, cur_sum, pin);
+}
+
+/* Exhaustive search over labelings of the m_count usable masks; see the
+ * pure exact_search for the search story.  cmp_fwd[i] holds the later
+ * indices comparable to index i, so m_count is at most 64.  Writes the
+ * best value, the node count, whether the search ran to completion, and
+ * whether labels_out (m_count bytes) holds a witness.  Returns 0, or -1
+ * when memory runs out. */
+int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
+                         const uint64_t *cmp_fwd, int64_t floor_value,
+                         int64_t target, int64_t node_budget, int timed,
+                         double time_left, int64_t *best_out,
+                         uint8_t *labels_out, int64_t *nodes_out,
+                         int *has_labels_out, int *completed_out)
+{
+    Ctx c;
+    int M = m_count, ok;
+    size_t rows = M ? M : 1, fams = k > 0 ? k : 1, keycap = M + fams + 1;
+    memset(&c, 0, sizeof(c));
+    c.M = M;
+    c.k = k;
+    c.product = product;
+    c.masks = masks;
+    c.cmp = cmp_fwd;
+    c.best = floor_value;
+    c.target = target;
+    c.node_budget = node_budget;
+    c.labels = calloc(rows, 1);
+    c.best_labels = labels_out;
+    c.pins = calloc((M + 1) * rows, 1);
+    c.counts = calloc(fams + 1, sizeof(int64_t));
+    c.best_key = malloc(keycap * sizeof(int64_t));
+    c.key_buf = malloc(keycap * sizeof(int64_t));
+    c.tmp = malloc(rows * sizeof(int64_t));
+    c.starts = malloc((fams + 1) * sizeof(int64_t));
+    c.lens = malloc((fams + 1) * sizeof(int64_t));
+    c.ford = malloc(fams * sizeof(int64_t));
+    c.wf = malloc(fams * sizeof(int64_t));
+    ok = c.labels && c.pins && c.counts && c.best_key && c.key_buf && c.tmp
+         && c.starts && c.lens && c.ford && c.wf;
+    if (ok) {
+        c.deadline = deadline_of(timed, time_left);
+        if (M)
+            rec(&c, 0, 0, 0, c.pins);
+        else
+            c.nodes = 1;
+        *best_out = c.best;
+        *nodes_out = c.nodes;
+        *has_labels_out = c.has_labels;
+        *completed_out = !c.aborted;
+    }
+    free(c.labels);
+    free(c.pins);
+    free(c.counts);
+    free(c.best_key);
+    free(c.key_buf);
+    free(c.tmp);
+    free(c.starts);
+    free(c.lens);
+    free(c.ford);
+    free(c.wf);
+    return ok ? 0 : -1;
+}
+
+/* -- annealing chain ------------------------------------------------------ */
+
+typedef struct {
+    uint8_t labels[1 << ANNEAL_MAX_GROUND];
+    uint64_t fams[ANNEAL_MAX_K + 1];
+    uint64_t ups[ANNEAL_MAX_K + 1];
+    uint64_t downs[ANNEAL_MAX_K + 1];
+    int64_t counts[ANNEAL_MAX_K + 1];
+    uint64_t support;
+    int support_count;
+} AnnState;
+
+typedef struct {
+    int n;
+    int k;
+    int total;
+    int product;
+    uint64_t hi[ANNEAL_MAX_GROUND]; /* positions whose mask has element b */
+    AnnState cur;
+    AnnState snap;
+    int n_usable;
+    const int *usable;
+    uint64_t usable_bits;
+    int order[1 << ANNEAL_MAX_GROUND];
+    int feas[ANNEAL_MAX_K + 1];
+} Ann;
+
+static uint64_t close_up(const Ann *a, uint64_t bits)
+{
+    int b;
+    for (b = 0; b < a->n; b++)
+        bits |= (bits & ~a->hi[b]) << ((uint64_t)1 << b);
+    return bits;
+}
+
+static uint64_t close_down(const Ann *a, uint64_t bits)
+{
+    int b;
+    for (b = 0; b < a->n; b++)
+        bits |= (bits & a->hi[b]) >> ((uint64_t)1 << b);
+    return bits;
+}
+
+static void reclose(Ann *a, int j)
+{
+    uint64_t bits = a->cur.fams[j];
+    if (bits) {
+        a->cur.ups[j] = close_up(a, bits);
+        a->cur.downs[j] = close_down(a, bits);
+    } else {
+        a->cur.ups[j] = 0;
+        a->cur.downs[j] = 0;
+    }
+}
+
+static void ann_load(Ann *a, const uint8_t *labels)
+{
+    int m, j;
+    memcpy(a->cur.labels, labels, a->total);
+    for (j = 0; j <= a->k; j++) {
+        a->cur.fams[j] = 0;
+        a->cur.counts[j] = 0;
+    }
+    a->cur.support = 0;
+    for (m = 0; m < a->total; m++) {
+        j = labels[m];
+        if (j) {
+            a->cur.fams[j] |= (uint64_t)1 << m;
+            a->cur.counts[j]++;
+            a->cur.support |= (uint64_t)1 << m;
+        }
+    }
+    a->cur.support_count = popcount64(a->cur.support);
+    for (j = 1; j <= a->k; j++)
+        reclose(a, j);
+}
+
+static void copy_state(AnnState *dst, const AnnState *src, const Ann *a)
+{
+    size_t fam_bytes = (a->k + 1) * sizeof(uint64_t);
+    memcpy(dst->labels, src->labels, a->total);
+    memcpy(dst->fams, src->fams, fam_bytes);
+    memcpy(dst->ups, src->ups, fam_bytes);
+    memcpy(dst->downs, src->downs, fam_bytes);
+    memcpy(dst->counts, src->counts, (a->k + 1) * sizeof(int64_t));
+    dst->support = src->support;
+    dst->support_count = src->support_count;
+}
+
+static int feasible(const Ann *a, int m, int j)
+{
+    uint64_t bit = (uint64_t)1 << m;
+    int i;
+    for (i = 1; i <= a->k; i++)
+        if (i != j && (a->cur.ups[i] | a->cur.downs[i]) & bit)
+            return 0;
+    return 1;
+}
+
+static void ann_add(Ann *a, int m, int j)
+{
+    a->cur.labels[m] = (uint8_t)j;
+    a->cur.fams[j] |= (uint64_t)1 << m;
+    a->cur.counts[j]++;
+    a->cur.support |= (uint64_t)1 << m;
+    a->cur.support_count++;
+    reclose(a, j);
+}
+
+static void ann_remove(Ann *a, int m)
+{
+    int j = a->cur.labels[m];
+    a->cur.labels[m] = 0;
+    a->cur.fams[j] &= ~((uint64_t)1 << m);
+    a->cur.counts[j]--;
+    a->cur.support &= ~((uint64_t)1 << m);
+    a->cur.support_count--;
+    reclose(a, j);
+}
+
+static int64_t ann_value(const Ann *a)
+{
+    int64_t v;
+    int j;
+    if (!a->product)
+        return a->cur.support_count;
+    v = 1;
+    for (j = 1; j <= a->k; j++)
+        v *= a->cur.counts[j];
+    return v;
+}
+
+static int nth_member(uint64_t bits, uint64_t idx)
+{
+    for (; idx; idx--)
+        bits &= bits - 1;
+    return lowest_bit(bits);
+}
+
+/* comparability component of m inside the support */
+static uint64_t component(const Ann *a, int m)
+{
+    uint64_t comp = (uint64_t)1 << m, near, bit;
+    int stack[64];
+    int top = 0, x;
+    stack[top++] = m;
+    while (top) {
+        x = stack[--top];
+        bit = (uint64_t)1 << x;
+        near = (close_up(a, bit) | close_down(a, bit)) & a->cur.support & ~comp;
+        for (; near; near &= near - 1) {
+            comp |= near & (~near + 1);
+            stack[top++] = lowest_bit(near);
+        }
+    }
+    return comp;
+}
+
+/* greedy refill to a maximal labeling, in a freshly shuffled order */
+static void fill(Ann *a, uint64_t *state)
+{
+    int i, m, j, bestj, e, beste, pass_no;
+    int64_t bestc;
+    uint64_t bit, r;
+    for (i = 0; i < a->n_usable; i++)
+        a->order[i] = a->usable[i];
+    for (i = a->n_usable - 1; i > 0; i--) {
+        r = rand_below(state, i + 1);
+        m = a->order[i];
+        a->order[i] = a->order[r];
+        a->order[r] = m;
+    }
+    /* first pass: only additions some family's closure already covers,
+     * so ruined structure snaps back before foreign placements */
+    for (pass_no = 0; pass_no < 2; pass_no++) {
+        for (i = 0; i < a->n_usable; i++) {
+            m = a->order[i];
+            if (a->cur.labels[m])
+                continue;
+            bit = (uint64_t)1 << m;
+            bestj = 0;
+            beste = 2;
+            bestc = 0;
+            for (j = 1; j <= a->k; j++) {
+                if (!feasible(a, m, j))
+                    continue;
+                e = (a->cur.ups[j] | a->cur.downs[j]) & bit ? 0 : 1;
+                if (bestj == 0 || e < beste || (e == beste && a->cur.counts[j] < bestc)) {
+                    bestj = j;
+                    beste = e;
+                    bestc = a->cur.counts[j];
+                }
+            }
+            if (bestj && (pass_no == 1 || beste == 0))
+                ann_add(a, m, bestj);
+        }
+    }
+}
+
+/* a uniformly drawn family other than j */
+static int other_family(const Ann *a, uint64_t *state, int j)
+{
+    int pick = (int)rand_below(state, a->k - 1) + 1;
+    return pick + (pick >= j ? 1 : 0);
+}
+
+static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *state,
+                       int64_t steps, double t0, double alpha,
+                       int64_t restart_interval, int64_t stop_value,
+                       double deadline, int64_t *best_out, uint8_t *best_labels)
+{
+    int64_t cur, best, nv, step, done = 0, last_improve = 0;
+    double temp = t0, r, u, p_ruin, p;
+    int variant_idx = 0, m, j, jj, cnt, n_feas, moved, accept;
+    uint64_t bits, comp, near, spare;
+    ann_load(a, variants);
+    fill(a, state);
+    cur = ann_value(a);
+    best = cur;
+    memcpy(best_labels, a->cur.labels, a->total);
+    for (step = 0; step < steps; step++) {
+        done = step + 1;
+        if (deadline && step % 256 == 0 && mono() > deadline)
+            break;
+        r = rand_unit(state);
+        copy_state(&a->snap, &a->cur, a);
+        moved = 0;
+        if (r < 0.20) { /* remove */
+            if (a->cur.support_count) {
+                m = nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+                if (a->cur.counts[a->cur.labels[m]] > 1) {
+                    ann_remove(a, m);
+                    moved = 1;
+                }
+            }
+        } else if (r < 0.40) { /* move to another family */
+            if (a->cur.support_count) {
+                m = nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+                j = a->cur.labels[m];
+                if (a->cur.counts[j] > 1) {
+                    jj = other_family(a, state, j);
+                    ann_remove(a, m);
+                    if (feasible(a, m, jj)) {
+                        ann_add(a, m, jj);
+                        moved = 1;
+                    } else {
+                        copy_state(&a->cur, &a->snap, a);
+                    }
+                }
+            }
+        } else if (r < 0.55) { /* recolor a whole component */
+            if (a->cur.support_count) {
+                m = nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+                j = a->cur.labels[m];
+                comp = component(a, m);
+                if (popcount64(comp) < a->cur.counts[j]) {
+                    jj = other_family(a, state, j);
+                    for (bits = comp; bits; bits &= bits - 1)
+                        ann_remove(a, lowest_bit(bits));
+                    for (bits = comp; bits; bits &= bits - 1)
+                        ann_add(a, lowest_bit(bits), jj);
+                    moved = 1;
+                }
+            }
+        } else if (r < 0.70) { /* add */
+            spare = a->usable_bits & ~a->cur.support;
+            cnt = popcount64(spare);
+            if (cnt) {
+                m = nth_member(spare, rand_below(state, cnt));
+                n_feas = 0;
+                for (j = 1; j <= a->k; j++)
+                    if (feasible(a, m, j))
+                        a->feas[n_feas++] = j;
+                if (n_feas) {
+                    ann_add(a, m, a->feas[rand_below(state, n_feas)]);
+                    moved = 1;
+                }
+            }
+        } else if (r < 0.85) { /* ruin a random chunk of the support and rebuild */
+            p_ruin = 0.1 + 0.3 * rand_unit(state);
+            for (bits = a->cur.support; bits; bits &= bits - 1) {
+                u = rand_unit(state);
+                if (u < p_ruin) {
+                    m = lowest_bit(bits);
+                    if (a->cur.counts[a->cur.labels[m]] > 1) {
+                        ann_remove(a, m);
+                        moved = 1;
+                    }
+                }
+            }
+        } else { /* dig a coordinated hole: drop everything comparable to a pivot */
+            bits = (uint64_t)1 << a->usable[rand_below(state, a->n_usable)];
+            near = (close_up(a, bits) | close_down(a, bits)) & a->cur.support;
+            for (; near; near &= near - 1) {
+                m = lowest_bit(near);
+                if (a->cur.counts[a->cur.labels[m]] > 1) {
+                    ann_remove(a, m);
+                    moved = 1;
+                }
+            }
+        }
+        if (moved) {
+            fill(a, state);
+            nv = ann_value(a);
+            accept = nv >= cur;
+            if (!accept) {
+                if (a->product)
+                    p = cur ? pow((double)nv / (double)cur, 1.0 / temp) : 0.0;
+                else
+                    p = exp(((double)nv - (double)cur) / temp);
+                accept = rand_unit(state) < p;
+            }
+            if (accept) {
+                cur = nv;
+                if (nv > best) {
+                    best = nv;
+                    memcpy(best_labels, a->cur.labels, a->total);
+                    last_improve = step;
+                    if (stop_value && best >= stop_value)
+                        break;
+                }
+            } else {
+                copy_state(&a->cur, &a->snap, a);
+            }
+        }
+        temp *= alpha;
+        if (temp < 1e-6)
+            temp = 1e-6;
+        if (step - last_improve > restart_interval) {
+            variant_idx++;
+            ann_load(a, variants + (size_t)(variant_idx % n_var) * a->total);
+            fill(a, state);
+            cur = ann_value(a);
+            temp = t0;
+            last_improve = step;
+        }
+    }
+    *best_out = best;
+    return done;
+}
+
+/* One annealing chain, same contract and trajectory as the pure
+ * anneal_chain.  variants holds n_var labelings of 2**n bytes each;
+ * best_labels receives 2**n bytes.  Requires n <= ANNEAL_MAX_GROUND,
+ * 2 <= k <= ANNEAL_MAX_K and 1 <= n_usable; returns -1 otherwise. */
+int sperner_anneal_chain(int n, int k, int product, int n_usable,
+                         const int *usable, int n_var, const uint8_t *variants,
+                         uint64_t seed, int64_t steps, double t0, double alpha,
+                         int64_t restart_interval, int64_t stop_value, int timed,
+                         double time_left, int64_t *best_out,
+                         uint8_t *best_labels, int64_t *done_out)
+{
+    Ann *a;
+    int i, m;
+    uint64_t state = seed;
+    if (n < 0 || n > ANNEAL_MAX_GROUND || k < 2 || k > ANNEAL_MAX_K
+        || n_usable < 1 || n_usable > (1 << n) || n_var < 1)
+        return -1;
+    a = calloc(1, sizeof(Ann));
+    if (!a)
+        return -1;
+    a->n = n;
+    a->k = k;
+    a->total = 1 << n;
+    a->product = product;
+    a->n_usable = n_usable;
+    a->usable = usable;
+    for (i = 0; i < n; i++)
+        for (m = 0; m < a->total; m++)
+            if (m >> i & 1)
+                a->hi[i] |= (uint64_t)1 << m;
+    for (i = 0; i < n_usable; i++)
+        a->usable_bits |= (uint64_t)1 << usable[i];
+    *done_out = ann_run(a, variants, n_var, &state, steps, t0, alpha,
+                        restart_interval, stop_value, deadline_of(timed, time_left),
+                        best_out, best_labels);
+    free(a);
+    return 0;
+}

@@ -1,4 +1,8 @@
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,10 +309,6 @@ def test_resolve_threads_env(monkeypatch):
 
 # backend parity
 
-compiled = pytest.importorskip(
-    "sperner.search._kernels", reason="compiled backend not built"
-)
-
 
 def _comp_args(n):
     from sperner.search.engine import _reflect_bits, _upset_bits
@@ -343,12 +343,17 @@ def _anneal_args(n, k, product, seed, steps):
 
 
 class TestBackendParity:
+    """The compiled kernels built in place, against the pure reference."""
+
     @pytest.fixture(autouse=True)
-    def _pure(self):
+    def _backends(self):
         from sperner.search import _kernels_py
 
         self.pure = _kernels_py
-        self.fast = compiled
+        self.fast = pytest.importorskip(
+            "sperner.search._kernels", reason="compiled backend not built",
+            exc_type=ImportError,
+        )
 
     def test_backend_tags(self):
         assert self.pure.BACKEND == "pure"
@@ -377,3 +382,103 @@ class TestBackendParity:
         for n, k, product, seed in [(5, 3, True, 1), (5, 2, False, 9)]:
             args = _anneal_args(n, k, product, seed, 3000)
             assert self.pure.anneal_chain(*args) == self.fast.anneal_chain(*args)
+
+
+CKERNELS_C = (Path(__file__).resolve().parents[1]
+              / "src" / "sperner" / "search" / "ckernels.c")
+
+
+@pytest.fixture(scope="session")
+def gcc_kernels(tmp_path_factory):
+    """ckernels.c compiled by gcc as strict C99 with warnings as errors,
+    bound the way the in-place build is bound."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found")
+    from sperner.search._clib import Library
+
+    lib = tmp_path_factory.mktemp("ckernels") / "_ckernels.so"
+    proc = subprocess.run(
+        [gcc, "-std=c99", "-Wall", "-Werror", "-O2", "-shared", "-fPIC",
+         "-o", str(lib), str(CKERNELS_C), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return Library(str(lib))
+
+
+class TestGccKernelParity(TestBackendParity):
+    """The same parity cases against a fresh gcc build of the C source, so
+    the compiled kernels are checked even where nothing is built in place."""
+
+    @pytest.fixture(autouse=True)
+    def _backends(self, gcc_kernels):
+        from sperner.search import _kernels_py
+
+        self.pure = _kernels_py
+        self.fast = gcc_kernels
+
+
+class TestCompiledGuards:
+    """The C kernels trust their buffers, so the bindings reject
+    out-of-range inputs before the call."""
+
+    def test_exact_search_rejects_more_than_64_masks(self, gcc_kernels):
+        m = 65
+        with pytest.raises(ValueError, match="m_count <= 64"):
+            gcc_kernels.exact_search(m, 2, True, list(range(1, m + 1)), [0] * m,
+                                     0, 0, 0, 0.0)
+
+    def test_anneal_rejects_ground_above_limit(self, gcc_kernels):
+        n = gcc_kernels.ANNEAL_MAX_GROUND + 1
+        args = _anneal_args(n, 3, True, 1, 10)
+        with pytest.raises(ValueError, match="n <= 6"):
+            gcc_kernels.anneal_chain(*args)
+
+    def test_anneal_rejects_variant_of_wrong_length(self, gcc_kernels):
+        args = list(_anneal_args(4, 3, True, 1, 10))
+        args[4] = [args[4][0][:-1]]
+        with pytest.raises(ValueError, match=r"2\*\*n = 16 labels"):
+            gcc_kernels.anneal_chain(*args)
+
+    def test_comp_scan_rejects_more_than_64_positions(self, gcc_kernels):
+        with pytest.raises(ValueError, match="total <= 64"):
+            gcc_kernels.comp_scan([1], [1], [1], [1], 65)
+
+
+def test_unloadable_library_raises_import_error(tmp_path):
+    from sperner.search._clib import Library
+
+    junk = tmp_path / "_ckernels.so"
+    junk.write_bytes(b"not a shared library")
+    with pytest.raises(ImportError, match="cannot load the compiled kernels"):
+        Library(str(junk))
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return
+    # a loadable library without the kernels, such as one left from an old build
+    src = tmp_path / "other.c"
+    src.write_text("int unrelated(void) { return 0; }\n")
+    other = tmp_path / "other.so"
+    subprocess.run([gcc, "-shared", "-fPIC", "-o", str(other), str(src)],
+                   check=True, timeout=120)
+    with pytest.raises(ImportError, match="sperner_sm64_next"):
+        Library(str(other))
+
+
+def test_compiled_backend_missing_names_build_step(monkeypatch):
+    import importlib.machinery
+
+    import sperner.search
+    from sperner.search import _backend
+
+    # re-import the kernel module with no library file to find
+    monkeypatch.delitem(sys.modules, "sperner.search._kernels", raising=False)
+    monkeypatch.delattr(sperner.search, "_kernels", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    monkeypatch.setenv("SPERNER_BACKEND", "compiled")
+    with pytest.raises(ImportError, match="python setup.py build_ext --inplace") as info:
+        _backend._load()
+    assert "Cython" not in str(info.value)
+    monkeypatch.setenv("SPERNER_BACKEND", "auto")
+    assert _backend._load().BACKEND == "pure"
