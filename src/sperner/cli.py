@@ -84,8 +84,27 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _bool_cell(flag: bool) -> str:
-    return "true" if flag else "false"
+def _csv_cell(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return " ".join(str(x) for x in v)
+    return v
+
+
+def _emit_rows(rows: list[dict], fmt: str, columns: list[str],
+               out: Optional[str]) -> int:
+    """Rows as indented JSON, or as CSV over the given columns."""
+    if fmt == "json":
+        _emit(json.dumps(rows, indent=2) + "\n", out)
+        return 0
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for r in rows:
+        w.writerow([_csv_cell(r[c]) for c in columns])
+    _emit(buf.getvalue(), out)
+    return 0
 
 
 # construct
@@ -241,27 +260,8 @@ def _comp_rows(ns: list[int]) -> list[dict]:
 
 
 def _emit_comp(args) -> int:
-    rows = _comp_rows(args.n)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-        return 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "m", "c_exact", "lower_bound", "equality", "witness_masks"])
-    for r in rows:
-        w.writerow(
-            [
-                r["n"],
-                r["m"],
-                r["c_exact"],
-                r["lower_bound"],
-                _bool_cell(r["equality"]),
-                " ".join(str(m) for m in r["witness_masks"]),
-            ]
-        )
-    _emit(buf.getvalue(), args.out)
-    return 0
+    columns = ["n", "m", "c_exact", "lower_bound", "equality", "witness_masks"]
+    return _emit_rows(_comp_rows(args.n), args.format or "csv", columns, args.out)
 
 
 def _bound_entries(n: int, k: int, m: Optional[int], ell: Optional[int]):
@@ -314,18 +314,8 @@ def _emit_bounds(args) -> int:
                         "note": v.note,
                     }
                 )
-    if fmt == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-        return 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "k", "bound_id", "value", "applicable"])
-    for r in rows:
-        w.writerow(
-            [r["n"], r["k"], r["bound_id"], r["value"], _bool_cell(r["applicable"])]
-        )
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return _emit_rows(rows, fmt, ["n", "k", "bound_id", "value", "applicable"],
+                      args.out)
 
 
 def _cmd_table(args) -> int:

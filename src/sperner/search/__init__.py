@@ -5,13 +5,11 @@ from .engine import (
     CompRow,
     CompTable,
     EXACT_MAX_GROUND,
-    ORACLE_MAX_GROUND,
     SearchConfig,
     SearchResult,
     TABLE_MAX_GROUND,
     anneal_max_product,
     anneal_max_sum,
-    brute_force_max,
     enumerate_upsets,
     exact_max_product,
     exact_max_sum,
@@ -24,13 +22,11 @@ __all__ = [
     "CompRow",
     "CompTable",
     "EXACT_MAX_GROUND",
-    "ORACLE_MAX_GROUND",
     "SearchConfig",
     "SearchResult",
     "TABLE_MAX_GROUND",
     "anneal_max_product",
     "anneal_max_sum",
-    "brute_force_max",
     "enumerate_upsets",
     "exact_max_product",
     "exact_max_sum",

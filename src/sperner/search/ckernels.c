@@ -2,9 +2,11 @@
  * Compiled search kernels, in plain C99 with no Python headers.
  *
  * Mirrors _kernels_py.py operation for operation: same RNG draws in the
- * same order, same float expressions, same tie-breaks, same deadline
- * cadence and node counts.  A fixed seed therefore produces identical
- * trajectories on either backend; the tests rely on it.  The annealer
+ * same order, same float expressions, same tie-breaks and node counts.
+ * A fixed seed therefore produces identical trajectories on either
+ * backend; the tests rely on it.  Both DFS kernels check their deadline
+ * every 4096 nodes.  This annealer checks it every 256 steps, the pure
+ * one on every step, since a pure step can take milliseconds.  The annealer
  * packs each family bitset into one 64-bit word, so it only serves
  * grounds with at most ANNEAL_MAX_GROUND elements; the engine falls back
  * to the pure kernel above that.

@@ -8,7 +8,6 @@ configured seed, so a fixed (seed, threads) pair reproduces exactly.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +39,6 @@ from ._kernels_py import sm64_next
 
 EXACT_MAX_GROUND = 5
 TABLE_MAX_GROUND = 5
-ORACLE_MAX_GROUND = 3
 
 _DEFAULT_STEPS = 60_000
 _DEFAULT_CHAINS = 4
@@ -54,7 +52,11 @@ class SearchConfig:
     """Knobs shared by the search entry points.
 
     budget_nodes caps DFS nodes in exact mode and annealing steps per
-    chain in heuristic mode.  budget_secs is a wall-clock cap.  threads
+    chain in heuristic mode; it must be at least 1, and None means no cap
+    (exact) or 60,000 steps (heuristic).  budget_secs is a wall-clock
+    cap; it must be a number >= 0, and 0.0 stops at the first deadline
+    check.  mode is not read by the engine, whose entry points each
+    serve one mode; it records the caller's intent.  threads
     fixes the chain count for the heuristic (exact results never depend
     on it); None falls back to SPERNER_THREADS, then to 4.  target stops
     a search early once the value is reached.
@@ -96,13 +98,6 @@ class CompTable:
 
     def row(self, m: int) -> CompRow:
         return self.rows[m - 1]
-
-
-def _anneal_kernels(n: int):
-    # the compiled annealer packs family bitsets into one machine word
-    if n > getattr(kernels, "ANNEAL_MAX_GROUND", 0):
-        return _kernels_py
-    return kernels
 
 
 def resolve_threads(explicit: int | None) -> int:
@@ -216,43 +211,43 @@ def _cmp_forward(masks: list[int]) -> list[int]:
     return out
 
 
-def _best_construction(n: int, k: int, product: bool):
-    cands: list[FamilyTuple] = []
-    if product:
-        try:
-            cands.append(build_product_tuple(ProductParams(n, k)))
-        except SpernerError:
-            pass
-        if k == 2:
-            try:
-                cands.append(build_pair_product(n))
-            except SpernerError:
-                pass
-    else:
-        try:
-            cands.append(build_sum_tuple(SumParams(n, k)))
-        except SpernerError:
-            pass
-        if k == 2:
-            try:
-                cands.append(build_pair_sum(n))
-            except SpernerError:
-                pass
+def _built(make) -> list[FamilyTuple]:
+    """[make()], or [] when the construction does not exist at these
+    parameters.  Parameter objects must be made inside `make`, since
+    their constructors raise too."""
     try:
-        cands.append(build_prefix_tuple(PrefixParams(n, k)))
+        return [make()]
     except SpernerError:
-        pass
+        return []
+
+
+def _constructions(n: int, k: int, product: bool) -> list[FamilyTuple]:
+    """The paper's lower-bound constructions for the measure that exist at
+    (n, k), in a fixed order: the k-tuple, the extremal pair, the prefix
+    partition."""
+    if product:
+        out = _built(lambda: build_product_tuple(ProductParams(n, k)))
+    else:
+        out = _built(lambda: build_sum_tuple(SumParams(n, k)))
+    if k == 2:
+        out += _built(lambda: (build_pair_product if product else build_pair_sum)(n))
+    return out + _built(lambda: build_prefix_tuple(PrefixParams(n, k)))
+
+
+def _measure(t: FamilyTuple, product: bool) -> int:
+    return t.product_size() if product else t.sum_size()
+
+
+def _best_construction(n: int, k: int, product: bool):
+    cands = _constructions(n, k, product)
     if not cands:
         return 0, None
-
-    def val(t: FamilyTuple) -> int:
-        return t.product_size() if product else t.sum_size()
-
-    top = max(cands, key=val)
-    return val(top), top
+    top = max(cands, key=lambda t: _measure(t, product))
+    return _measure(top, product), top
 
 
 def _tuple_from_order_labels(n, k, labels, masks) -> FamilyTuple:
+    # labels[i] in 1..k puts masks[i] into that family; 0 leaves it out
     fams: list[list[int]] = [[] for _ in range(k)]
     for i, lab in enumerate(labels):
         if lab:
@@ -260,12 +255,33 @@ def _tuple_from_order_labels(n, k, labels, masks) -> FamilyTuple:
     return FamilyTuple(n, tuple(Family.from_masks(n, f) for f in fams))
 
 
-def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
+def _check_config(cfg: SearchConfig, exact: bool) -> None:
     check_ground(cfg.n, minimum=1)
-    if cfg.n > EXACT_MAX_GROUND:
+    if exact and cfg.n > EXACT_MAX_GROUND:
         raise GroundTooLarge(f"exact search supports n <= {EXACT_MAX_GROUND}")
     if cfg.k < 2:
         raise InfeasibleParams("searches need k >= 2")
+    if cfg.budget_nodes is not None and cfg.budget_nodes < 1:
+        raise InfeasibleParams(
+            f"budget_nodes must be at least 1, got {cfg.budget_nodes}"
+        )
+    if cfg.budget_secs is not None and not cfg.budget_secs >= 0:
+        raise InfeasibleParams(
+            f"budget_secs must be a number >= 0, got {cfg.budget_secs}"
+        )
+
+
+def _check_witness(witness: FamilyTuple, value: int, product: bool) -> None:
+    # raised, not asserted, so that the check survives python -O
+    if not is_cross_sperner(witness).ok:
+        raise AssertionError("search returned a tuple that is not cross-Sperner")
+    got = _measure(witness, product)
+    if got != value:
+        raise AssertionError(f"search reported value {value}, its witness has {got}")
+
+
+def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
+    _check_config(cfg, exact=True)
     start = time.monotonic()
     masks = _usable_order(cfg.n)
     fwd = _cmp_forward(masks)
@@ -282,9 +298,7 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
     else:
         witness = None
     if witness is not None:
-        assert is_cross_sperner(witness).ok
-        got = witness.product_size() if product else witness.sum_size()
-        assert got == value
+        _check_witness(witness, value, product)
     return SearchResult(value=value, witness=witness, optimal=completed,
                         nodes=nodes, elapsed=time.monotonic() - start,
                         backend=BACKEND)
@@ -314,34 +328,23 @@ def _labels_of(t: FamilyTuple, total: int) -> list[int]:
 
 
 def _variants(n: int, k: int, product: bool, seed: int) -> list[list[int]]:
+    cands = _constructions(n, k, product)
+    try:
+        blocks = ProductParams(n, k).block_sizes()
+    except SpernerError:
+        blocks = None  # no product tuple here, so nothing to jitter
+    if blocks is not None:
+        # jittered segment sizes diversify the restart pool
+        state = (seed ^ 0x5EED5EED) & ((1 << 64) - 1)
+        for _ in range(8):
+            segs = []
+            for b in blocks:
+                state, z = sm64_next(state)
+                segs.append(1 + (z * ((1 << b) - 1) >> 64))
+            cands += _built(
+                lambda segs=tuple(segs): build_product_tuple(ProductParams(n, k, segs))
+            )
     total = 1 << n
-    cands: list[FamilyTuple] = []
-
-    def push(build, *args):
-        try:
-            cands.append(build(*args))
-        except SpernerError:
-            pass
-
-    if product:
-        push(build_product_tuple, ProductParams(n, k))
-        if k == 2:
-            push(build_pair_product, n)
-    else:
-        push(build_sum_tuple, SumParams(n, k))
-        if k == 2:
-            push(build_pair_sum, n)
-    push(build_prefix_tuple, PrefixParams(n, k))
-    # jittered segment sizes diversify the restart pool
-    state = (seed ^ 0x5EED5EED) & ((1 << 64) - 1)
-    base = ProductParams(n, k)
-    for _ in range(8):
-        segs = []
-        for b in base.block_sizes():
-            width = (1 << b) - 1
-            state, z = sm64_next(state)
-            segs.append(1 + (z * width >> 64))
-        push(build_product_tuple, ProductParams(n, k, tuple(segs)))
     seen: set[tuple[int, ...]] = set()
     out: list[list[int]] = []
     for t in cands:
@@ -358,23 +361,22 @@ def _variants(n: int, k: int, product: bool, seed: int) -> list[list[int]]:
 
 
 def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
-    check_ground(cfg.n, minimum=1)
-    if cfg.k < 2:
-        raise InfeasibleParams("searches need k >= 2")
+    _check_config(cfg, exact=False)
     start = time.monotonic()
     chains = resolve_threads(cfg.threads)
-    steps = cfg.budget_nodes or _DEFAULT_STEPS
+    steps = _DEFAULT_STEPS if cfg.budget_nodes is None else cfg.budget_nodes
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
     variants = _variants(cfg.n, cfg.k, product, cfg.seed)
-    usable = list(range(1, (1 << cfg.n) - 1))
+    total = 1 << cfg.n
+    usable = list(range(1, total - 1))
     state = cfg.seed & ((1 << 64) - 1)
     seeds = []
     for _ in range(chains):
         state, z = sm64_next(state)
         seeds.append(z)
     stop = cfg.target or 0
-
-    kern = _anneal_kernels(cfg.n)
+    # the compiled annealer packs family bitsets into one machine word
+    kern = kernels if cfg.n <= kernels.ANNEAL_MAX_GROUND else _kernels_py
 
     def run(chain_seed: int):
         return kern.anneal_chain(
@@ -387,26 +389,18 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
     else:
         with ThreadPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as ex:
             outs = list(ex.map(run, seeds))
-    total = 1 << cfg.n
     best_val = -1
     best_tuple = None
     steps_done = 0
     for value, labels, done in outs:
         steps_done += done
-        fams: list[list[int]] = [[] for _ in range(cfg.k)]
-        for m, lab in enumerate(labels):
-            if lab:
-                fams[lab - 1].append(m)
-        cand = FamilyTuple(cfg.n, tuple(Family.from_masks(cfg.n, f) for f in fams))
+        cand = _tuple_from_order_labels(cfg.n, cfg.k, labels, range(total))
         if value > best_val or (
             value == best_val
-            and best_tuple is not None
             and cand.canonical_key() < best_tuple.canonical_key()
         ):
             best_val, best_tuple = value, cand
-    assert best_tuple is not None and is_cross_sperner(best_tuple).ok
-    got = best_tuple.product_size() if product else best_tuple.sum_size()
-    assert got == best_val
+    _check_witness(best_tuple, best_val, product)
     return SearchResult(value=best_val, witness=best_tuple, optimal=False,
                         nodes=steps_done, elapsed=time.monotonic() - start,
                         backend=kern.BACKEND)
@@ -422,44 +416,3 @@ def anneal_max_sum(cfg: SearchConfig) -> SearchResult:
     """Heuristic lower bound for the largest total size; never claims
     optimality."""
     return _anneal(cfg, product=False)
-
-
-# -- tiny definition-level oracle -------------------------------------------
-
-
-def brute_force_max(n: int, k: int, product: bool = True) -> int:
-    """Maximum by raw enumeration of every labeling, for cross-checking
-    the DFS on toy grounds."""
-    check_ground(n, minimum=1)
-    if n > ORACLE_MAX_GROUND:
-        raise GroundTooLarge(f"the oracle supports n <= {ORACLE_MAX_GROUND}")
-    if k < 2:
-        raise InfeasibleParams("the oracle needs k >= 2")
-    usable = list(range(1, (1 << n) - 1))
-    best = 0
-    for labels in itertools.product(range(k + 1), repeat=len(usable)):
-        counts = [0] * (k + 1)
-        for lab in labels:
-            counts[lab] += 1
-        if 0 in counts[1:]:
-            continue
-        ok = True
-        for i, x in enumerate(usable):
-            if not labels[i]:
-                continue
-            for j in range(i + 1, len(usable)):
-                if labels[j] and labels[j] != labels[i] and comparable(x, usable[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if product:
-            v = 1
-            for c in counts[1:]:
-                v *= c
-        else:
-            v = sum(counts[1:])
-        best = max(best, v)
-    return best

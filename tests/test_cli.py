@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,38 @@ def test_search_heuristic_exit_codes(capsys):
     assert "status=stopped" in capsys.readouterr().out
 
 
+def test_search_heuristic_starts_from_any_construction(capsys):
+    # no tagged-antichain sum tuple exists at (6, 6), but a prefix partition does
+    assert run("search", "sigma", "--n", "6", "--k", "6", "--mode", "heuristic",
+               "--threads", "1", "--budget-nodes", "500") == 0
+    value = re.search(r"value=(\d+)", capsys.readouterr().out)
+    assert int(value.group(1)) >= 24
+    assert run("search", "pi", "--n", "2", "--k", "3", "--mode", "heuristic") == 2
+    assert "no feasible starting tuple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("budget", [
+    ("--budget-nodes", "0"),
+    ("--budget-nodes", "-5"),
+    ("--budget-secs", "-1"),
+    ("--budget-secs", "nan"),
+])
+def test_search_rejects_bad_budgets(capsys, mode, budget):
+    assert run("search", "pi", "--n", "4", "--k", "2", "--mode", mode,
+               "--threads", "1", *budget) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_search_zero_seconds_is_a_valid_budget(capsys, mode):
+    # exact (4, 2) finishes before its first deadline check, at node 4096
+    assert run("search", "pi", "--n", "4", "--k", "2", "--mode", mode,
+               "--threads", "1", "--budget-secs", "0") == 0
+    out = capsys.readouterr().out
+    assert "status=" + ("proved" if mode == "exact" else "heuristic") in out
+
+
 def test_search_sum_measure(capsys):
     assert run("search", "sigma", "--n", "4", "--k", "2") == 0
     assert "value=10" in capsys.readouterr().out
@@ -215,6 +249,20 @@ def test_table_json_format(capsys):
         assert row["c_exact"] == r.c_exact
         assert row["equality"] is r.equality
         assert row["witness_masks"] == list(r.witness.masks())
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["table", "comp", "--n", "2"], "table_comp_n2"),
+    (["bounds", "--n", "8", "--k", "2"], "bounds_n8_k2"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_output_bytes(capsys, argv, name, fmt):
+    assert run(*argv, "--format", fmt) == 0
+    expected = (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def test_table_bounds_kind_matches_bounds_command(capsys):

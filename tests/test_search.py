@@ -2,6 +2,8 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,6 @@ from sperner.search import (
     SearchConfig,
     anneal_max_product,
     anneal_max_sum,
-    brute_force_max,
     enumerate_upsets,
     exact_max_product,
     exact_max_sum,
@@ -102,8 +103,6 @@ def test_exact_agrees_with_labeling_oracle(n, k):
     cfg = SearchConfig(n=n, k=k)
     assert exact_max_product(cfg).value == max_product_exact(n, k)
     assert exact_max_sum(cfg).value == max_sum_exact(n, k)
-    assert brute_force_max(n, k, product=True) == max_product_exact(n, k)
-    assert brute_force_max(n, k, product=False) == max_sum_exact(n, k)
 
 
 # frozen exact optima; values proven by the completed branch-and-bound
@@ -233,6 +232,46 @@ def test_exact_deadline_abort():
     assert res.witness is not None
 
 
+def test_pure_anneal_holds_time_budget():
+    # above n = 6 the pure annealer runs; one of its steps takes
+    # milliseconds at n = 12, so the deadline is checked on every step
+    start = time.monotonic()
+    res = anneal_max_product(
+        SearchConfig(12, 3, mode="heuristic", budget_secs=0.5, threads=1)
+    )
+    assert time.monotonic() - start < 1.0
+    assert res.backend == "pure"
+    assert is_cross_sperner(res.witness).ok
+
+
+def test_witness_recheck_survives_optimize_flag():
+    # the engine re-checks every witness it returns, also under python -O
+    code = textwrap.dedent("""
+        import sys
+        import types
+        from sperner.search import SearchConfig, engine
+        print("optimize", sys.flags.optimize)
+        engine.is_cross_sperner = lambda t: types.SimpleNamespace(ok=False)
+        for search in (engine.exact_max_product, engine.anneal_max_product):
+            try:
+                search(SearchConfig(3, 2, budget_nodes=50, threads=1))
+            except AssertionError as e:
+                print(search.__name__, e)
+            else:
+                print(search.__name__, "returned")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["optimize 1"] + [
+        f"{name} search returned a tuple that is not cross-Sperner"
+        for name in ("exact_max_product", "anneal_max_product")
+    ]
+
+
 # annealer
 
 
@@ -283,6 +322,18 @@ def test_anneal_sum_reaches_known_values():
         SearchConfig(5, 2, mode="heuristic", budget_nodes=20_000, seed=0, target=22)
     )
     assert res.value >= 22
+    assert res.witness.sum_size() == res.value
+
+
+def test_anneal_starts_wherever_the_exact_floor_exists():
+    # the restart pool and the exact floor come from one construction list;
+    # at (5, 6) the sum construction does not exist but the prefix one does
+    exact = exact_max_sum(SearchConfig(5, 6))
+    assert exact.value == 12
+    res = anneal_max_sum(
+        SearchConfig(5, 6, mode="heuristic", budget_nodes=500, threads=1)
+    )
+    assert res.value == exact.value
     assert res.witness.sum_size() == res.value
 
 
