@@ -53,9 +53,6 @@ class BoundValue:
     applicable: bool
     note: str = ""
 
-    def as_float(self) -> float:
-        return float(self.value)
-
 
 def render_value(v: Value) -> str:
     """Exact text for a bound value: integers plainly, rationals as p/q,
@@ -106,15 +103,13 @@ def eval_bound(
     n: int,
     k_or_m: int,
     ell: Optional[int] = None,
-    tail_factor: bool = True,
 ) -> BoundValue:
     """Evaluate one bound at (n, k) or (n, m).
 
     The second slot is the tuple width k for every bound except
     COMP_LOWER, where it is the family size m.  ANTICHAIN_COMP needs the
-    tail size via ell.  SUM_LOWER evaluates its sharp form by default;
-    tail_factor=False drops the (1 - 2^-(k-1))^(1/2) factor and switches
-    to the weaker n >= 2k hypothesis.
+    tail size via ell.  SUM_LOWER evaluates its sharp form, with the
+    (1 - 2^-(k-1))^(1/2) factor.
     """
     check_ground(n)
     if not isinstance(bound, BoundId):
@@ -168,16 +163,11 @@ def eval_bound(
 
     if bound is BoundId.SUM_LOWER:
         base = Fraction(two_n + 2 * (k - 1))
-        if tail_factor:
-            # 3 sqrt(2^(n-1) k (1 - 2^-(k-1)))
-            arg = Fraction(two_n, 2) * k * (1 - Fraction(1, 1 << (k - 1)))
-            value = _minus_sqrt(base, Fraction(3), arg)
-            ok = k * two_n >= 1 << (2 * k - 1)  # n >= 2k - 1 - log2 k
-            note = "" if ok else "hypothesis n >= 2k - 1 - log2(k) fails"
-        else:
-            value = _minus_sqrt(base, Fraction(3), Fraction(two_n, 2) * k)
-            ok = n >= 2 * k
-            note = "" if ok else "hypothesis n >= 2k fails"
+        # 3 sqrt(2^(n-1) k (1 - 2^-(k-1)))
+        arg = Fraction(two_n, 2) * k * (1 - Fraction(1, 1 << (k - 1)))
+        value = _minus_sqrt(base, Fraction(3), arg)
+        ok = k * two_n >= 1 << (2 * k - 1)  # n >= 2k - 1 - log2 k
+        note = "" if ok else "hypothesis n >= 2k - 1 - log2(k) fails"
         return BoundValue(value, ok, note)
 
     if bound is BoundId.SUM_LOWER_POW2:

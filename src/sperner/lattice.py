@@ -105,10 +105,6 @@ class Family:
             bits |= 1 << m
         return cls(n, bits)
 
-    @classmethod
-    def from_sets(cls, n: int, sets) -> "Family":
-        return cls.from_masks(n, (mask_from_elements(s, n) for s in sets))
-
     @cached_property
     def size(self) -> int:
         return self.members.bit_count()
@@ -126,11 +122,6 @@ class Family:
 
     def to_sets(self) -> list[tuple[int, ...]]:
         return [elements_of_mask(m) for m in self.masks()]
-
-    def min_mask(self) -> SetMask:
-        if not self.members:
-            raise EmptyFamily("empty family has no members")
-        return (self.members & -self.members).bit_length() - 1
 
 
 def closure(f: Family, direction: Direction) -> Family:

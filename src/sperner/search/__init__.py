@@ -1,7 +1,7 @@
 """Search engines and their kernel backends."""
 
-from ._backend import BACKEND, kernels
 from .engine import (
+    BACKEND,
     CompRow,
     CompTable,
     EXACT_MAX_GROUND,
@@ -30,7 +30,6 @@ __all__ = [
     "enumerate_upsets",
     "exact_max_product",
     "exact_max_sum",
-    "kernels",
     "min_comparability_table",
     "resolve_threads",
 ]

@@ -3,8 +3,8 @@
 A thin module over the C library built from ckernels.c, which setup.py
 names `_ckernels` (`python setup.py build_ext --inplace`).  The library
 is found next to this file and bound through `_clib`; when it is
-missing, importing this module raises ImportError and the engine falls
-back to the pure kernels (see `_backend`).
+missing, importing this module raises ImportError and the engine uses
+the pure kernels (see `engine._select`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
-from ._clib import ANNEAL_MAX_GROUND, Library
+from ._clib import Library
 
 
 def _library_path() -> str:
@@ -21,7 +21,10 @@ def _library_path() -> str:
         path = os.path.join(here, "_ckernels" + suffix)
         if os.path.isfile(path):
             return path
-    raise ImportError("the compiled kernels are not built")
+    raise ImportError(
+        "the compiled kernels are not built; build them with "
+        "`python setup.py build_ext --inplace`"
+    )
 
 
 _library = Library(_library_path())

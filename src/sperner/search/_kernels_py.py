@@ -4,9 +4,9 @@ Reference implementations of the three hot loops: the monotone-pair scan
 behind the comparability table, the exact label-assignment DFS, and the
 annealing chain.  The compiled module mirrors these semantics operation
 for operation (same RNG, same tie-breaks, same float expressions), so a
-given seed walks the same trajectory on either backend.  Deadline checks
-are the one difference: the compiled annealer looks at the clock every
-256 steps, this one on every step.
+given seed walks the same trajectory on either backend.  Both annealers
+look at the clock before every step, and both DFS kernels every 4096
+nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import time
 from ..lattice import _closure_bits
 
 BACKEND = "pure"
-ANNEAL_MAX_GROUND = 20
 
 _INF = 1 << 60
 _MASK64 = (1 << 64) - 1
@@ -394,11 +393,9 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
     last_improve = 0
     done = 0
     for step in range(steps):
-        done = step + 1
-        # every step: one pure step takes milliseconds at large n, so a
-        # sparser check would overrun budget_secs several times over
         if deadline and time.monotonic() > deadline:
             break
+        done = step + 1
         state, r = _rand_unit(state)
         snap = st.snapshot()
         moved = False

@@ -5,11 +5,10 @@
  * same order, same float expressions, same tie-breaks and node counts.
  * A fixed seed therefore produces identical trajectories on either
  * backend; the tests rely on it.  Both DFS kernels check their deadline
- * every 4096 nodes.  This annealer checks it every 256 steps, the pure
- * one on every step, since a pure step can take milliseconds.  The annealer
+ * every 4096 nodes, both annealers before every step.  The annealer
  * packs each family bitset into one 64-bit word, so it only serves
- * grounds with at most ANNEAL_MAX_GROUND elements; the engine falls back
- * to the pure kernel above that.
+ * grounds with at most ANNEAL_MAX_GROUND elements; the engine uses the
+ * pure kernels above that.
  *
  * _clib.py binds the exported sperner_* functions with ctypes and, before
  * each call, checks every argument that sizes or indexes a buffer; the
@@ -653,9 +652,9 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
     best = cur;
     memcpy(best_labels, a->cur.labels, a->total);
     for (step = 0; step < steps; step++) {
-        done = step + 1;
-        if (deadline && step % 256 == 0 && mono() > deadline)
+        if (deadline && mono() > deadline)
             break;
+        done = step + 1;
         r = rand_unit(state);
         copy_state(&a->snap, &a->cur, a);
         moved = 0;

@@ -4,6 +4,12 @@ Exact searches run a single kernel call and are deterministic in value,
 witness and node count no matter how many threads are configured.  The
 heuristic runs one annealing chain per thread with seeds derived from the
 configured seed, so a fixed (seed, threads) pair reproduces exactly.
+
+One rule, in `_select`, picks the kernels for every search: the compiled
+ones when their library loads and n <= ANNEAL_MAX_GROUND, the pure ones
+otherwise.  Compiled chains release the interpreter lock and run on a
+thread pool; pure chains would only take turns on it, so they run one
+after another in seed order.
 """
 
 from __future__ import annotations
@@ -34,8 +40,13 @@ from ..lattice import (
     is_cross_sperner,
 )
 from . import _kernels_py
-from ._backend import BACKEND, kernels
+from ._clib import ANNEAL_MAX_GROUND
 from ._kernels_py import sm64_next
+
+try:
+    from . import _kernels
+except ImportError:
+    _kernels = None
 
 EXACT_MAX_GROUND = 5
 TABLE_MAX_GROUND = 5
@@ -45,6 +56,10 @@ _DEFAULT_CHAINS = 4
 _T0 = 0.35
 _ALPHA = 0.99993
 _RESTART = 10_000
+
+BACKEND: str = (_kernels or _kernels_py).BACKEND
+"""The kernels that serve grounds up to ANNEAL_MAX_GROUND: "compiled"
+when the library loads, else "pure"."""
 
 
 @dataclass(frozen=True)
@@ -58,8 +73,10 @@ class SearchConfig:
     check.  mode is not read by the engine, whose entry points each
     serve one mode; it records the caller's intent.  threads
     fixes the chain count for the heuristic (exact results never depend
-    on it); None falls back to SPERNER_THREADS, then to 4.  target stops
-    a search early once the value is reached.
+    on it); it must be at least 1, and None means 4.  Compiled chains run
+    on a thread pool, pure chains one after another, with the same
+    result for a given (seed, threads).  target stops a search early once
+    the value is reached.
     """
 
     n: int
@@ -101,14 +118,18 @@ class CompTable:
 
 
 def resolve_threads(explicit: int | None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise InfeasibleParams("threads must be positive")
-        return explicit
-    env = os.environ.get("SPERNER_THREADS", "").strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return _DEFAULT_CHAINS
+    return _DEFAULT_CHAINS if explicit is None else explicit
+
+
+def _select(n: int):
+    """The kernel module for a search on ground n, and whether its chains
+    may share a thread pool (only the compiled kernels release the
+    interpreter lock).  The compiled annealer packs a family into one
+    machine word, hence the ground limit; exact search and tables are
+    gated below it."""
+    if _kernels is not None and n <= ANNEAL_MAX_GROUND:
+        return _kernels, True
+    return _kernels_py, False
 
 
 # -- monotone families -------------------------------------------------------
@@ -165,7 +186,8 @@ def min_comparability_table(n: int) -> CompTable:
     ups = _upset_bits(n)
     usizes = [b.bit_count() for b in ups]
     downs = [_reflect_bits(b, total) for b in ups]
-    best, bu, bd = kernels.comp_scan(ups, usizes, downs, usizes, total)
+    kern, _ = _select(n)
+    best, bu, bd = kern.comp_scan(ups, usizes, downs, usizes, total)
     rows = []
     for m in range(1, total + 1):
         c = None
@@ -261,6 +283,8 @@ def _check_config(cfg: SearchConfig, exact: bool) -> None:
         raise GroundTooLarge(f"exact search supports n <= {EXACT_MAX_GROUND}")
     if cfg.k < 2:
         raise InfeasibleParams("searches need k >= 2")
+    if cfg.threads is not None and cfg.threads < 1:
+        raise InfeasibleParams(f"threads must be at least 1, got {cfg.threads}")
     if cfg.budget_nodes is not None and cfg.budget_nodes < 1:
         raise InfeasibleParams(
             f"budget_nodes must be at least 1, got {cfg.budget_nodes}"
@@ -287,7 +311,8 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
     fwd = _cmp_forward(masks)
     floor, floor_tuple = _best_construction(cfg.n, cfg.k, product)
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
-    value, labels, nodes, completed = kernels.exact_search(
+    kern, _ = _select(cfg.n)
+    value, labels, nodes, completed = kern.exact_search(
         len(masks), cfg.k, product, masks, fwd, floor,
         cfg.target or 0, cfg.budget_nodes or 0, deadline,
     )
@@ -301,7 +326,7 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
         _check_witness(witness, value, product)
     return SearchResult(value=value, witness=witness, optimal=completed,
                         nodes=nodes, elapsed=time.monotonic() - start,
-                        backend=BACKEND)
+                        backend=kern.BACKEND)
 
 
 def exact_max_product(cfg: SearchConfig) -> SearchResult:
@@ -375,8 +400,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
         state, z = sm64_next(state)
         seeds.append(z)
     stop = cfg.target or 0
-    # the compiled annealer packs family bitsets into one machine word
-    kern = kernels if cfg.n <= kernels.ANNEAL_MAX_GROUND else _kernels_py
+    kern, nogil = _select(cfg.n)
 
     def run(chain_seed: int):
         return kern.anneal_chain(
@@ -384,11 +408,11 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
             _T0, _ALPHA, _RESTART, stop, deadline,
         )
 
-    if chains == 1:
-        outs = [run(seeds[0])]
-    else:
+    if nogil:
         with ThreadPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as ex:
             outs = list(ex.map(run, seeds))
+    else:
+        outs = [run(chain_seed) for chain_seed in seeds]
     best_val = -1
     best_tuple = None
     steps_done = 0

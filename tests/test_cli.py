@@ -182,6 +182,13 @@ def test_search_rejects_bad_budgets(capsys, mode, budget):
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_search_rejects_zero_threads(capsys, mode):
+    assert run("search", "pi", "--n", "5", "--k", "3", "--mode", mode,
+               "--threads", "0") == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
 def test_search_zero_seconds_is_a_valid_budget(capsys, mode):
     # exact (4, 2) finishes before its first deadline check, at node 4096
     assert run("search", "pi", "--n", "4", "--k", "2", "--mode", mode,

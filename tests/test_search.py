@@ -244,6 +244,23 @@ def test_pure_anneal_holds_time_budget():
     assert is_cross_sperner(res.witness).ok
 
 
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_zero_seconds_runs_no_annealing_step(n, threads):
+    # the deadline is checked before each step, so no step runs or counts
+    res = anneal_max_product(
+        SearchConfig(n, 2, mode="heuristic", budget_secs=0.0, threads=threads)
+    )
+    assert res.nodes == 0
+    assert is_cross_sperner(res.witness).ok
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def test_witness_recheck_survives_optimize_flag():
     # the engine re-checks every witness it returns, also under python -O
     code = textwrap.dedent("""
@@ -260,10 +277,7 @@ def test_witness_recheck_survives_optimize_flag():
             else:
                 print(search.__name__, "returned")
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["optimize 1"] + [
@@ -296,6 +310,26 @@ def test_anneal_thread_count_changes_exploration_not_validity():
         assert is_cross_sperner(res.witness).ok
         assert res.witness.product_size() == res.value
     assert four.value >= one.value  # chain 0 of both runs is the same
+
+
+def test_pure_anneal_frozen_at_7_3():
+    # above n = 6 the chains run on the pure kernels, one after another
+    cfg = SearchConfig(7, 3, mode="heuristic", seed=1, threads=2, budget_nodes=200)
+    prod = anneal_max_product(cfg)
+    assert (prod.value, prod.nodes, prod.backend) == (6075, 400, "pure")
+    assert prod.witness.canonical_key() == (
+        (10, 11, 13, 14, 15, 18, 19, 21, 22, 23, 26, 27, 29, 30, 31),
+        (34, 35, 37, 38, 39, 66, 67, 69, 70, 71, 98, 99, 101, 102, 103),
+        (40, 41, 44, 48, 49, 52, 56, 57, 60, 72, 73, 76, 80, 81, 84, 88, 89,
+         92, 104, 105, 108, 112, 113, 116, 120, 121, 124),
+    )
+    total = anneal_max_sum(cfg)
+    assert (total.value, total.nodes, total.backend) == (96, 400, "pure")
+    assert total.witness.canonical_key() == (
+        (*range(3, 32), *range(35, 64), *range(67, 96), *range(100, 125, 4)),
+        (97,),
+        (98,),
+    )
 
 
 KNOWN_TARGETS = [
@@ -346,16 +380,41 @@ def test_anneal_never_reports_invalid_tuple():
         assert res.witness.sum_size() == res.value
 
 
-# thread resolution
+# thread resolution and kernel selection
 
 
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv("SPERNER_THREADS", raising=False)
+def test_resolve_threads_default():
     assert resolve_threads(3) == 3
     assert resolve_threads(None) == 4
-    monkeypatch.setenv("SPERNER_THREADS", "9")
-    assert resolve_threads(None) == 9
-    assert resolve_threads(2) == 2
+
+
+def test_kernel_selection_rule():
+    from sperner.search import _kernels_py, engine
+
+    assert engine._select(7) == (_kernels_py, False)
+    compiled = engine._kernels
+    for n in range(1, 7):
+        want = (compiled, True) if compiled is not None else (_kernels_py, False)
+        assert engine._select(n) == want
+    assert BACKEND == engine._select(5)[0].BACKEND
+
+
+def test_results_report_pure_without_the_library():
+    # hiding the compiled module is how a checkout without a build looks
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["sperner.search._kernels"] = None
+        from sperner.search import (BACKEND, SearchConfig, anneal_max_sum,
+                                    exact_max_product)
+        print(BACKEND)
+        print(exact_max_product(SearchConfig(4, 3)).backend)
+        print(anneal_max_sum(SearchConfig(5, 3, mode="heuristic", threads=2,
+                                          budget_nodes=50)).backend)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pure", "pure", "pure"]
 
 
 # backend parity
@@ -517,19 +576,15 @@ def test_unloadable_library_raises_import_error(tmp_path):
         Library(str(other))
 
 
-def test_compiled_backend_missing_names_build_step(monkeypatch):
+def test_missing_library_names_build_step(monkeypatch):
+    import importlib
     import importlib.machinery
 
     import sperner.search
-    from sperner.search import _backend
 
     # re-import the kernel module with no library file to find
     monkeypatch.delitem(sys.modules, "sperner.search._kernels", raising=False)
     monkeypatch.delattr(sperner.search, "_kernels", raising=False)
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-    monkeypatch.setenv("SPERNER_BACKEND", "compiled")
-    with pytest.raises(ImportError, match="python setup.py build_ext --inplace") as info:
-        _backend._load()
-    assert "Cython" not in str(info.value)
-    monkeypatch.setenv("SPERNER_BACKEND", "auto")
-    assert _backend._load().BACKEND == "pure"
+    with pytest.raises(ImportError, match="python setup.py build_ext --inplace"):
+        importlib.import_module("sperner.search._kernels")
