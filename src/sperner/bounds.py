@@ -245,7 +245,6 @@ _CONSISTENCY_PAIRS = (
     (BoundId.PRODUCT_LOWER_CONSTRUCTIVE, BoundId.PRODUCT_UPPER),
     (BoundId.SUM_LOWER, BoundId.SUM_UPPER),
     (BoundId.SUM_LOWER_POW2, BoundId.SUM_UPPER),
-    (BoundId.PAIR_SUM_UPPER, None),
 )
 
 
@@ -282,8 +281,6 @@ def bounds_report(n: int, k: int) -> BoundsReport:
         else:
             entries[b] = eval_bound(b, n, k)
     for lo, hi in _CONSISTENCY_PAIRS:
-        if hi is None:
-            continue
         vlo, vhi = entries[lo], entries[hi]
         if vlo.applicable and vhi.applicable and not _leq(vlo.value, vhi.value):
             raise AssertionError(

@@ -136,8 +136,10 @@ def _cmd_construct(args) -> int:
     payload = witness_payload(
         t, provenance={"builder": mode, "parameters": params}
     )
-    _emit(dumps_witness(payload), args.out)
-    if args.out and args.out != "-":
+    if args.out is None or args.out == "-":
+        sys.stdout.write(dumps_witness(payload))
+    else:
+        write_witness(args.out, payload)
         m = payload["measures"]
         print(
             f"wrote {args.out}: n={t.n} k={t.k} "
@@ -253,13 +255,18 @@ def _comp_rows(ns: list[int]) -> list[dict]:
                     "c_exact": r.c_exact,
                     "lower_bound": r.lower_bound,
                     "equality": r.equality,
-                    "witness_masks": list(r.witness.masks()),
+                    "witness_masks": r.witness.masks(),
                 }
             )
     return rows
 
 
 def _emit_comp(args) -> int:
+    for flag in ("k", "m", "ell"):
+        if getattr(args, flag) is not None:
+            args._parser.error(f"table comp takes no --{flag}")
+    if args.format == "text":
+        args._parser.error("table comp has no text format; use csv or json")
     columns = ["n", "m", "c_exact", "lower_bound", "equality", "witness_masks"]
     return _emit_rows(_comp_rows(args.n), args.format or "csv", columns, args.out)
 

@@ -35,6 +35,7 @@ from .lattice import (
     colex_initial_segment,
     incomparable_complement,
     is_cross_sperner,
+    mask_from_elements,
     _positions_with_bit,
 )
 
@@ -156,9 +157,7 @@ def build_product_tuple(p: ProductParams) -> FamilyTuple:
             )
         seg = colex_initial_segment(p.n, elems[i], t[i])
         local = set(seg.masks())
-        block_mask = 0
-        for e in elems[i]:
-            block_mask |= 1 << (e - 1)
+        block_mask = mask_from_elements(elems[i], p.n)
         rest = []
         s = block_mask
         while True:

@@ -13,6 +13,10 @@ word speed.  Nothing here walks supersets of an individual set explicitly,
 which keeps every operation O(n * 2^n) bit work and makes n = 20 (a megabit
 per family) the practical ceiling enforced below.
 
+bit_positions and bits_of are the one codec between bitsets and lists of
+bit positions (members or elements), linear in the bit length; peeling or
+OR-ing one bit at a time into a 2^n-bit family would be quadratic.
+
 n = 0 is allowed and degenerates gracefully: the lattice is {empty set}.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterator, Literal, NamedTuple, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .errors import BadGround, BadIndex, EmptyFamily, BadSegmentSize, NotMonotone
 
@@ -60,21 +64,15 @@ def _positions_with_bit(n: int, b: int) -> int:
 
 
 def mask_from_elements(elements, n: int) -> SetMask:
-    m = 0
+    elements = list(elements)
     for e in elements:
         if not 1 <= e <= n:
             raise BadGround(f"element {e} outside 1..{n}")
-        m |= 1 << (e - 1)
-    return m
+    return bits_of([e - 1 for e in elements])
 
 
 def elements_of_mask(mask: SetMask) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    return tuple(p + 1 for p in bit_positions(mask))
 
 
 def comparable(x: SetMask, y: SetMask) -> bool:
@@ -97,13 +95,12 @@ class Family:
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "Family":
-        bits = 0
+        masks = list(masks)
         top = 1 << n
         for m in masks:
             if not 0 <= m < top:
                 raise BadGround(f"mask {m} outside the n={n} lattice")
-            bits |= 1 << m
-        return cls(n, bits)
+        return cls(n, bits_of(masks))
 
     @cached_property
     def size(self) -> int:
@@ -112,13 +109,9 @@ class Family:
     def __contains__(self, mask: SetMask) -> bool:
         return bool(self.members >> mask & 1)
 
-    def masks(self) -> Iterator[SetMask]:
+    def masks(self) -> list[SetMask]:
         """Member masks in ascending numeric (= colex) order."""
-        bits = self.members
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return bit_positions(self.members)
 
     def to_sets(self) -> list[tuple[int, ...]]:
         return [elements_of_mask(m) for m in self.masks()]
@@ -129,6 +122,40 @@ def closure(f: Family, direction: Direction) -> Family:
     if not f.members:
         raise EmptyFamily("closure of an empty family")
     return Family(f.n, _closure_bits(f.members, f.n, direction))
+
+
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+
+
+def bit_positions(bits: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending.
+
+    Walks the little-endian bytes once, so the cost is linear in the bit
+    length plus the number of set bits."""
+    out = []
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    for i, byte in enumerate(data):
+        if byte:
+            base = i << 3
+            for b in _BYTE_BITS[byte]:
+                out.append(base + b)
+    return out
+
+
+def bits_of(positions) -> int:
+    """The int whose set bits are the given positions; the inverse of
+    bit_positions.  Repeats collapse.  A negative position raises
+    ValueError, as a negative shift does.
+
+    Writes binary digits, least significant first, into a bytearray and
+    parses them once; int() reads base 2 in linear time."""
+    positions = list(positions)
+    if min(positions, default=0) < 0:
+        raise ValueError(f"negative bit position {min(positions)}")
+    digits = bytearray(b"0") * (max(positions, default=0) + 1)
+    for p in positions:
+        digits[p] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def _closure_bits(bits: int, n: int, direction: Direction) -> int:
@@ -305,17 +332,9 @@ def colex_initial_segment(n: int, elements, t: int) -> Family:
     r = len(elems)
     if not 1 <= t <= 1 << r:
         raise BadSegmentSize(f"segment size {t} outside 1..2^{r}")
-    bit_for = [1 << (e - 1) for e in elems]
-    bits = 0
-    for rank in range(t):
-        m = 0
-        rr = rank
-        while rr:
-            low = rr & -rr
-            m |= bit_for[low.bit_length() - 1]
-            rr ^= low
-        bits |= 1 << m
-    return Family(n, bits)
+    pos = [e - 1 for e in elems]
+    masks = [bits_of([pos[i] for i in bit_positions(rank)]) for rank in range(t)]
+    return Family(n, bits_of(masks))
 
 
 def merge_partition(t: FamilyTuple, j: int) -> FamilyTuple:

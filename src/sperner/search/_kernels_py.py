@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 
-from ..lattice import _closure_bits
+from ..lattice import _closure_bits, _comparable_bits, bit_positions, bits_of
 
 BACKEND = "pure"
 
@@ -253,14 +253,13 @@ class _AnnealState:
 
     def load(self, labels):
         self.labels = list(labels)
-        self.fams = [0] * (self.k + 1)
-        self.counts = [0] * (self.k + 1)
-        self.support = 0
+        members = [[] for _ in range(self.k + 1)]
         for m, lab in enumerate(labels):
             if lab:
-                self.fams[lab] |= 1 << m
-                self.counts[lab] += 1
-                self.support |= 1 << m
+                members[lab].append(m)
+        self.fams = [bits_of(ms) for ms in members]
+        self.counts = [len(ms) for ms in members]
+        self.support = bits_of(m for m, lab in enumerate(labels) if lab)
         self.support_count = self.support.bit_count()
         for j in range(1, self.k + 1):
             self._reclose(j)
@@ -316,28 +315,15 @@ class _AnnealState:
             return v
         return self.support_count
 
-    def nth_member(self, bits, idx):
-        while True:
-            low = bits & -bits
-            if idx == 0:
-                return low.bit_length() - 1
-            idx -= 1
-            bits ^= low
-
     def component(self, m):
         """Comparability component of m inside the support."""
         comp = 1 << m
         frontier = [m]
         while frontier:
             x = frontier.pop()
-            bit = 1 << x
-            near = (_closure_bits(bit, self.n, "up")
-                    | _closure_bits(bit, self.n, "down")) & self.support & ~comp
-            while near:
-                low = near & -near
-                near ^= low
-                comp |= low
-                frontier.append(low.bit_length() - 1)
+            near = _comparable_bits(1 << x, self.n) & self.support & ~comp
+            comp |= near
+            frontier += bit_positions(near)
         return comp
 
 
@@ -355,9 +341,7 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
     state = seed & _MASK64
     variant_idx = 0
     usable = list(usable)
-    usable_bits = 0
-    for m in usable:
-        usable_bits |= 1 << m
+    usable_bits = bits_of(usable)
 
     def fill(state):
         order = usable.copy()
@@ -402,14 +386,14 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
         if r < 0.20:  # remove
             if st.support_count:
                 state, idx = _rand_below(state, st.support_count)
-                m = st.nth_member(st.support, idx)
+                m = bit_positions(st.support)[idx]
                 if st.counts[st.labels[m]] > 1:
                     st.remove(m)
                     moved = True
         elif r < 0.40:  # move to another family
             if st.support_count:
                 state, idx = _rand_below(state, st.support_count)
-                m = st.nth_member(st.support, idx)
+                m = bit_positions(st.support)[idx]
                 j = st.labels[m]
                 if st.counts[j] > 1:
                     state, pick = _rand_below(state, k - 1)
@@ -423,30 +407,23 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
         elif r < 0.55:  # recolor a whole component
             if st.support_count:
                 state, idx = _rand_below(state, st.support_count)
-                m = st.nth_member(st.support, idx)
+                m = bit_positions(st.support)[idx]
                 j = st.labels[m]
-                comp = st.component(m)
-                csize = comp.bit_count()
-                if csize < st.counts[j]:
+                comp = bit_positions(st.component(m))
+                if len(comp) < st.counts[j]:
                     state, pick = _rand_below(state, k - 1)
                     jj = pick + 1 + (1 if pick + 1 >= j else 0)
-                    bits = comp
-                    while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        st.remove(low.bit_length() - 1)
-                    bits = comp
-                    while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        st.add(low.bit_length() - 1, jj)
+                    for x in comp:
+                        st.remove(x)
+                    for x in comp:
+                        st.add(x, jj)
                     moved = True
         elif r < 0.70:  # add
             spare = usable_bits & ~st.support
             cnt = spare.bit_count()
             if cnt:
                 state, idx = _rand_below(state, cnt)
-                m = st.nth_member(spare, idx)
+                m = bit_positions(spare)[idx]
                 feas = [j for j in range(1, k + 1) if st.feasible(m, j)]
                 if feas:
                     state, pick = _rand_below(state, len(feas))
@@ -455,25 +432,15 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
         elif r < 0.85:  # ruin a random chunk of the support and rebuild
             state, z = _rand_unit(state)
             p_ruin = 0.1 + 0.3 * z
-            bits = st.support
-            while bits:
-                low = bits & -bits
-                bits ^= low
+            for m in bit_positions(st.support):
                 state, u = _rand_unit(state)
-                if u < p_ruin:
-                    m = low.bit_length() - 1
-                    if st.counts[st.labels[m]] > 1:
-                        st.remove(m)
-                        moved = True
+                if u < p_ruin and st.counts[st.labels[m]] > 1:
+                    st.remove(m)
+                    moved = True
         else:  # dig a coordinated hole: drop everything comparable to a pivot
             state, idx = _rand_below(state, len(usable))
-            pivot = 1 << usable[idx]
-            near = (_closure_bits(pivot, n, "up")
-                    | _closure_bits(pivot, n, "down")) & st.support
-            while near:
-                low = near & -near
-                near ^= low
-                m = low.bit_length() - 1
+            near = _comparable_bits(1 << usable[idx], n) & st.support
+            for m in bit_positions(near):
                 if st.counts[st.labels[m]] > 1:
                     st.remove(m)
                     moved = True

@@ -34,7 +34,8 @@ from ..errors import GroundTooLarge, InfeasibleParams, SpernerError
 from ..lattice import (
     Family,
     FamilyTuple,
-    _closure_bits,
+    bit_positions,
+    bits_of,
     check_ground,
     comparable,
     is_cross_sperner,
@@ -169,11 +170,7 @@ def _upset_bits(n: int) -> list[int]:
 
 def _reflect_bits(bits: int, total: int) -> int:
     # complementing every member turns an upset bitset into a downset one
-    out = 0
-    for p in range(total):
-        if bits >> p & 1:
-            out |= 1 << (total - 1 - p)
-    return out
+    return bits_of([total - 1 - p for p in bit_positions(bits)])
 
 
 def min_comparability_table(n: int) -> CompTable:
@@ -195,10 +192,8 @@ def min_comparability_table(n: int) -> CompTable:
         for t in range(m, total + 1):
             if c is None or best[t] < c:
                 c, pick = best[t], t
-        hull = ups[bu[pick]] & downs[bd[pick]]
-        while hull.bit_count() > m:
-            # the numerically largest member has no proper superset inside
-            hull ^= 1 << (hull.bit_length() - 1)
+        # the m numerically lowest members: no dropped set is below a kept one
+        hull = bits_of(bit_positions(ups[bu[pick]] & downs[bd[pick]])[:m])
         s = 4 * (total * m)
         r = isqrt(s)
         if r * r < s:

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Any
 
 from .errors import WitnessFormatError
-from .lattice import MAX_GROUND, Family, FamilyTuple, is_cross_sperner
+from .lattice import MAX_GROUND, Family, FamilyTuple, bits_of, is_cross_sperner
 
 SCHEMA_VERSION = 1
 
@@ -60,14 +60,20 @@ def witness_payload(
     return payload
 
 
+# the canonical format: sorted keys, two-space indent, trailing newline
+_JSON_FORMAT = {"sort_keys": True, "indent": 2}
+
+
 def dumps_witness(payload: dict[str, Any]) -> str:
     """Canonical serialization: byte-stable across dump/load/dump."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, **_JSON_FORMAT) + "\n"
 
 
 def write_witness(path: str, payload: dict[str, Any]) -> None:
+    """Stream the bytes of dumps_witness to path, never holding the text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_witness(payload))
+        json.dump(payload, fh, **_JSON_FORMAT)
+        fh.write("\n")
 
 
 def _fail(msg: str) -> None:
@@ -84,15 +90,14 @@ def _check_int(value: Any, what: str) -> int:
 def _mask_from_elements(raw: Any, n: int, where: str) -> int:
     if not isinstance(raw, list):
         _fail(f"{where} must be a list of elements")
-    mask = 0
     for e in raw:
         _check_int(e, f"element in {where}")
         if not 1 <= e <= n:
             _fail(f"element {e} in {where} outside 1..{n}")
-        bit = 1 << (e - 1)
-        if mask & bit:
-            _fail(f"repeated element {e} in {where}")
-        mask |= bit
+    mask = bits_of(e - 1 for e in raw)
+    if mask.bit_count() != len(raw):
+        e = next(e for e in raw if raw.count(e) > 1)
+        _fail(f"repeated element {e} in {where}")
     return mask
 
 
@@ -152,7 +157,7 @@ def parse_witness(text: str) -> dict[str, Any]:
                     f"subset of [{n}]"
                 )
             masks.append(m)
-        if len(set(masks)) != len(masks):
+        if bits_of(masks).bit_count() != len(masks):
             _fail(f"family {i} repeats a set")
         norm.append(sorted(masks))
     norm.sort()
@@ -189,8 +194,9 @@ def load_witness(path: str) -> dict[str, Any]:
 
 
 def tuple_of_witness(payload: dict[str, Any]) -> FamilyTuple:
-    """Materialize the recorded tuple.  Raises the usual construction
-    errors if the families are not disjoint."""
+    """Materialize the recorded tuple.  Nothing here checks that the
+    families are disjoint: check_witness reports a set shared by two
+    families as a comparable cross pair."""
     fams = tuple(Family.from_masks(payload["n"], f) for f in payload["families"])
     return FamilyTuple(payload["n"], fams)
 

@@ -246,6 +246,16 @@ def test_table_too_large_ground(capsys):
     assert run("table", "comp", "--n", "6") == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--k", "2"], ["--m", "3"], ["--ell", "2"], ["--format", "text"],
+])
+def test_table_comp_refuses_bounds_flags(capsys, flags):
+    assert run("table", "comp", "--n", "2", *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "table comp" in captured.err
+
+
 def test_table_json_format(capsys):
     assert run("table", "comp", "--n", "3", "--format", "json") == 0
     rows = json.loads(capsys.readouterr().out)

@@ -10,6 +10,8 @@ from sperner.lattice import (
     MAX_GROUND,
     Family,
     FamilyTuple,
+    bit_positions,
+    bits_of,
     closure,
     colex_initial_segment,
     comparability_number,
@@ -78,6 +80,39 @@ def test_comparable_matches_set_containment(x, y):
     sx = frozenset(elements_of_mask(x))
     sy = frozenset(elements_of_mask(y))
     assert comparable(x, y) == comparable_sets(sx, sy)
+
+
+# bitset codec
+
+
+def _peel_positions(bits):
+    # the one-bit-at-a-time loop the codec replaces, kept as its reference
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, (1 << 1024) - 1),
+       st.lists(st.integers(0, (1 << 20) - 1), max_size=40))
+def test_bit_positions_matches_peel_loop(dense, sparse):
+    # a dense low word plus scattered bits anywhere up to 2^20 bits
+    x = dense | sum(1 << p for p in set(sparse))
+    assert bit_positions(x) == _peel_positions(x)
+    assert bits_of(bit_positions(x)) == x
+
+
+def test_codec_edges():
+    assert bit_positions(0) == [] and bits_of([]) == 0
+    assert bits_of([3, 0, 3]) == 0b1001
+    top = 1 << MAX_GROUND
+    assert bit_positions((1 << top) - 1) == list(range(top))
+    assert bits_of(range(top)) == (1 << top) - 1
+    with pytest.raises(ValueError):
+        bits_of([-1])
 
 
 # closures

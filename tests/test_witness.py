@@ -1,8 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
-from sperner.constructions import ProductParams, build_product_tuple, build_pair_sum
+from sperner.constructions import (
+    ProductParams,
+    SumParams,
+    build_pair_sum,
+    build_product_tuple,
+    build_sum_tuple,
+)
 from sperner.errors import WitnessFormatError
 from sperner.witness import (
     check_witness,
@@ -47,6 +54,20 @@ def test_file_round_trip(tmp_path, payload):
     loaded = load_witness(str(path))
     assert loaded == parse_witness(dumps_witness(payload))
     assert dumps_witness(loaded) == path.read_text()
+
+
+def test_written_file_bytes_are_canonical(tmp_path):
+    # the streamed file equals the string form byte for byte, and its
+    # digest is pinned to the canonical bytes of this tuple
+    t = build_sum_tuple(SumParams(14, 2))
+    p = witness_payload(t, created="2026-01-01T00:00:00Z")
+    path = tmp_path / "w.json"
+    write_witness(str(path), p)
+    data = path.read_bytes()
+    assert data == dumps_witness(p).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == (
+        "173f324698c893e02a0c6aea5bd7e9bfcc642e3ab0a1b0967d2631894f0ee850"
+    )
 
 
 def test_tuple_round_trip(payload):
@@ -110,6 +131,8 @@ def _base():
         (lambda d: d.update(families=[[1], [7]]), "proper"),
         (lambda d: d.update(families=[[1], [8]]), "proper"),
         (lambda d: d.update(families=[[1, 1], [2]]), "repeats"),
+        (lambda d: d.update(encoding="elements",
+                            families=[[[1, 2], [2, 1]], [[3]]]), "repeats"),
         (lambda d: d.update(families=[[1], [True]]), "integer"),
         (lambda d: d.update(measures={"sum": 2}), "measures"),
         (lambda d: d.update(measures={"sum": 2, "product": 1, "max": 1}), "measures"),
