@@ -131,8 +131,6 @@ def _base():
         (lambda d: d.update(families=[[1], [7]]), "proper"),
         (lambda d: d.update(families=[[1], [8]]), "proper"),
         (lambda d: d.update(families=[[1, 1], [2]]), "repeats"),
-        (lambda d: d.update(encoding="elements",
-                            families=[[[1, 2], [2, 1]], [[3]]]), "repeats"),
         (lambda d: d.update(families=[[1], [True]]), "integer"),
         (lambda d: d.update(measures={"sum": 2}), "measures"),
         (lambda d: d.update(measures={"sum": 2, "product": 1, "max": 1}), "measures"),
@@ -165,6 +163,9 @@ def test_elements_encoding_rejects_bad_elements():
         parse_witness(json.dumps(doc))
     doc["families"] = [[[1]], [2]]
     with pytest.raises(WitnessFormatError, match="list"):
+        parse_witness(json.dumps(doc))
+    doc["families"] = [[[1, 2], [2, 1]], [[3]]]
+    with pytest.raises(WitnessFormatError, match="repeats"):
         parse_witness(json.dumps(doc))
 
 
