@@ -84,6 +84,16 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _emit_witness(payload: dict, out: Optional[str], note: str = "") -> None:
+    """The witness file on stdout for None or "-"; otherwise streamed to
+    out, followed by a "wrote" line."""
+    if out is None or out == "-":
+        sys.stdout.write(dumps_witness(payload))
+    else:
+        write_witness(out, payload)
+        print(f"wrote {out}{note}")
+
+
 def _csv_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -136,15 +146,9 @@ def _cmd_construct(args) -> int:
     payload = witness_payload(
         t, provenance={"builder": mode, "parameters": params}
     )
-    if args.out is None or args.out == "-":
-        sys.stdout.write(dumps_witness(payload))
-    else:
-        write_witness(args.out, payload)
-        m = payload["measures"]
-        print(
-            f"wrote {args.out}: n={t.n} k={t.k} "
-            f"sum={m['sum']} product={m['product']}"
-        )
+    m = payload["measures"]
+    _emit_witness(payload, args.out,
+                  f": n={t.n} k={t.k} sum={m['sum']} product={m['product']}")
     return 0
 
 
@@ -235,8 +239,7 @@ def _cmd_search(args) -> int:
                 prov["search"]["budget_secs"] = args.budget_secs
             if args.mode == "heuristic":
                 prov["search"]["threads"] = resolve_threads(args.threads)
-            write_witness(args.out, witness_payload(res.witness, provenance=prov))
-            print(f"wrote {args.out}")
+            _emit_witness(witness_payload(res.witness, provenance=prov), args.out)
     return code
 
 

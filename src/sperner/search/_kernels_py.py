@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 
-from ..lattice import _closure_bits, _comparable_bits, bit_positions, bits_of
+from ..lattice import _comparable_bits, bit_positions, bits_of
 
 BACKEND = "pure"
 
@@ -236,8 +236,8 @@ def exact_search(m_count, k, product, masks, cmp_fwd, floor_value,
 
 
 class _AnnealState:
-    __slots__ = ("n", "k", "total", "labels", "fams", "ups", "downs",
-                 "counts", "support", "support_count")
+    __slots__ = ("n", "k", "total", "labels", "fams", "near", "counts",
+                 "support", "support_count")
 
     def __init__(self, n, k):
         self.n = n
@@ -245,8 +245,7 @@ class _AnnealState:
         self.total = 1 << n
         self.labels = [0] * self.total
         self.fams = [0] * (k + 1)
-        self.ups = [0] * (k + 1)
-        self.downs = [0] * (k + 1)
+        self.near = [0] * (k + 1)  # masks comparable to a member of each family
         self.counts = [0] * (k + 1)
         self.support = 0
         self.support_count = 0
@@ -265,30 +264,29 @@ class _AnnealState:
             self._reclose(j)
 
     def _reclose(self, j):
-        bits = self.fams[j]
-        if bits:
-            self.ups[j] = _closure_bits(bits, self.n, "up")
-            self.downs[j] = _closure_bits(bits, self.n, "down")
-        else:
-            self.ups[j] = self.downs[j] = 0
+        self.near[j] = _comparable_bits(self.fams[j], self.n)
 
     def snapshot(self):
-        return (self.labels.copy(), self.fams.copy(), self.ups.copy(),
-                self.downs.copy(), self.counts.copy(), self.support,
-                self.support_count)
+        return (self.labels.copy(), self.fams.copy(), self.near.copy(),
+                self.counts.copy(), self.support, self.support_count)
 
     def restore(self, snap):
-        (self.labels, self.fams, self.ups, self.downs, self.counts,
-         self.support, self.support_count) = (
-            snap[0].copy(), snap[1].copy(), snap[2].copy(), snap[3].copy(),
-            snap[4].copy(), snap[5], snap[6])
+        (self.labels, self.fams, self.near, self.counts, self.support,
+         self.support_count) = (snap[0].copy(), snap[1].copy(), snap[2].copy(),
+                                snap[3].copy(), snap[4], snap[5])
 
-    def feasible(self, m, j):
+    def owner(self, m):
+        """The placement rule: family j may take the unlabeled mask m exactly
+        when owner(m) is 0 or j.  Returns the only family whose comparable
+        set holds m, 0 when none does and -1 when two or more do."""
         bit = 1 << m
-        for i in range(1, self.k + 1):
-            if i != j and (self.ups[i] | self.downs[i]) & bit:
-                return False
-        return True
+        found = 0
+        for j in range(1, self.k + 1):
+            if self.near[j] & bit:
+                if found:
+                    return -1
+                found = j
+        return found
 
     def add(self, m, j):
         self.labels[m] = j
@@ -348,24 +346,18 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
         for i in range(len(order) - 1, 0, -1):
             state, j = _rand_below(state, i + 1)
             order[i], order[j] = order[j], order[i]
-        # first pass: only additions some family's closure already covers,
-        # so ruined structure snaps back before foreign placements
+        # first pass: only masks one family already owns, so ruined
+        # structure snaps back before foreign placements; the second pass
+        # gives each unowned mask to the first family with the least count
         for enclosed_only in (True, False):
             for m in order:
                 if st.labels[m]:
                     continue
-                bit = 1 << m
-                bestj = 0
-                bestscore = (2, 0)
-                for j in range(1, k + 1):
-                    if not st.feasible(m, j):
-                        continue
-                    score = (0 if (st.ups[j] | st.downs[j]) & bit else 1,
-                             st.counts[j])
-                    if bestj == 0 or score < bestscore:
-                        bestj, bestscore = j, score
-                if bestj and (not enclosed_only or bestscore[0] == 0):
-                    st.add(m, bestj)
+                j = st.owner(m)
+                if j == 0 and not enclosed_only:
+                    j = min(range(1, k + 1), key=st.counts.__getitem__)
+                if j > 0:
+                    st.add(m, j)
         return state
 
     st.load(variants[0])
@@ -399,7 +391,7 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
                     state, pick = _rand_below(state, k - 1)
                     jj = pick + 1 + (1 if pick + 1 >= j else 0)
                     st.remove(m)
-                    if st.feasible(m, jj):
+                    if st.owner(m) in (0, jj):
                         st.add(m, jj)
                         moved = True
                     else:
@@ -424,10 +416,11 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
             if cnt:
                 state, idx = _rand_below(state, cnt)
                 m = bit_positions(spare)[idx]
-                feas = [j for j in range(1, k + 1) if st.feasible(m, j)]
-                if feas:
-                    state, pick = _rand_below(state, len(feas))
-                    st.add(m, feas[pick])
+                j = st.owner(m)
+                if j >= 0:
+                    # one draw over the families allowed to take m
+                    state, pick = _rand_below(state, 1 if j else k)
+                    st.add(m, j or pick + 1)
                     moved = True
         elif r < 0.85:  # ruin a random chunk of the support and rebuild
             state, z = _rand_unit(state)

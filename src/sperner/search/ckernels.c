@@ -436,8 +436,7 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
 typedef struct {
     uint8_t labels[1 << ANNEAL_MAX_GROUND];
     uint64_t fams[ANNEAL_MAX_K + 1];
-    uint64_t ups[ANNEAL_MAX_K + 1];
-    uint64_t downs[ANNEAL_MAX_K + 1];
+    uint64_t near[ANNEAL_MAX_K + 1]; /* masks comparable to a member */
     int64_t counts[ANNEAL_MAX_K + 1];
     uint64_t support;
     int support_count;
@@ -455,35 +454,23 @@ typedef struct {
     const int *usable;
     uint64_t usable_bits;
     int order[1 << ANNEAL_MAX_GROUND];
-    int feas[ANNEAL_MAX_K + 1];
 } Ann;
 
-static uint64_t close_up(const Ann *a, uint64_t bits)
+/* every mask comparable to a member of bits: the union of both closures */
+static uint64_t comparable_to(const Ann *a, uint64_t bits)
 {
+    uint64_t up = bits, down = bits;
     int b;
-    for (b = 0; b < a->n; b++)
-        bits |= (bits & ~a->hi[b]) << ((uint64_t)1 << b);
-    return bits;
-}
-
-static uint64_t close_down(const Ann *a, uint64_t bits)
-{
-    int b;
-    for (b = 0; b < a->n; b++)
-        bits |= (bits & a->hi[b]) >> ((uint64_t)1 << b);
-    return bits;
+    for (b = 0; b < a->n; b++) {
+        up |= (up & ~a->hi[b]) << ((uint64_t)1 << b);
+        down |= (down & a->hi[b]) >> ((uint64_t)1 << b);
+    }
+    return up | down;
 }
 
 static void reclose(Ann *a, int j)
 {
-    uint64_t bits = a->cur.fams[j];
-    if (bits) {
-        a->cur.ups[j] = close_up(a, bits);
-        a->cur.downs[j] = close_down(a, bits);
-    } else {
-        a->cur.ups[j] = 0;
-        a->cur.downs[j] = 0;
-    }
+    a->cur.near[j] = comparable_to(a, a->cur.fams[j]);
 }
 
 static void ann_load(Ann *a, const uint8_t *labels)
@@ -513,21 +500,27 @@ static void copy_state(AnnState *dst, const AnnState *src, const Ann *a)
     size_t fam_bytes = (a->k + 1) * sizeof(uint64_t);
     memcpy(dst->labels, src->labels, a->total);
     memcpy(dst->fams, src->fams, fam_bytes);
-    memcpy(dst->ups, src->ups, fam_bytes);
-    memcpy(dst->downs, src->downs, fam_bytes);
+    memcpy(dst->near, src->near, fam_bytes);
     memcpy(dst->counts, src->counts, (a->k + 1) * sizeof(int64_t));
     dst->support = src->support;
     dst->support_count = src->support_count;
 }
 
-static int feasible(const Ann *a, int m, int j)
+/* The placement rule: family j may take the unlabeled mask m exactly when
+ * owner(m) is 0 or j.  Returns the only family whose comparable set holds
+ * m, 0 when none does and -1 when two or more do. */
+static int owner(const Ann *a, int m)
 {
     uint64_t bit = (uint64_t)1 << m;
-    int i;
-    for (i = 1; i <= a->k; i++)
-        if (i != j && (a->cur.ups[i] | a->cur.downs[i]) & bit)
-            return 0;
-    return 1;
+    int j, found = 0;
+    for (j = 1; j <= a->k; j++) {
+        if (a->cur.near[j] & bit) {
+            if (found)
+                return -1;
+            found = j;
+        }
+    }
+    return found;
 }
 
 static void ann_add(Ann *a, int m, int j)
@@ -573,14 +566,13 @@ static int nth_member(uint64_t bits, uint64_t idx)
 /* comparability component of m inside the support */
 static uint64_t component(const Ann *a, int m)
 {
-    uint64_t comp = (uint64_t)1 << m, near, bit;
+    uint64_t comp = (uint64_t)1 << m, near;
     int stack[64];
     int top = 0, x;
     stack[top++] = m;
     while (top) {
         x = stack[--top];
-        bit = (uint64_t)1 << x;
-        near = (close_up(a, bit) | close_down(a, bit)) & a->cur.support & ~comp;
+        near = comparable_to(a, (uint64_t)1 << x) & a->cur.support & ~comp;
         for (; near; near &= near - 1) {
             comp |= near & (~near + 1);
             stack[top++] = lowest_bit(near);
@@ -592,9 +584,8 @@ static uint64_t component(const Ann *a, int m)
 /* greedy refill to a maximal labeling, in a freshly shuffled order */
 static void fill(Ann *a, uint64_t *state)
 {
-    int i, m, j, bestj, e, beste, pass_no;
-    int64_t bestc;
-    uint64_t bit, r;
+    int i, m, j, jj, pass_no;
+    uint64_t r;
     for (i = 0; i < a->n_usable; i++)
         a->order[i] = a->usable[i];
     for (i = a->n_usable - 1; i > 0; i--) {
@@ -603,29 +594,23 @@ static void fill(Ann *a, uint64_t *state)
         a->order[i] = a->order[r];
         a->order[r] = m;
     }
-    /* first pass: only additions some family's closure already covers,
-     * so ruined structure snaps back before foreign placements */
+    /* first pass: only masks one family already owns, so ruined structure
+     * snaps back before foreign placements; the second pass gives each
+     * unowned mask to the first family with the least count */
     for (pass_no = 0; pass_no < 2; pass_no++) {
         for (i = 0; i < a->n_usable; i++) {
             m = a->order[i];
             if (a->cur.labels[m])
                 continue;
-            bit = (uint64_t)1 << m;
-            bestj = 0;
-            beste = 2;
-            bestc = 0;
-            for (j = 1; j <= a->k; j++) {
-                if (!feasible(a, m, j))
-                    continue;
-                e = (a->cur.ups[j] | a->cur.downs[j]) & bit ? 0 : 1;
-                if (bestj == 0 || e < beste || (e == beste && a->cur.counts[j] < bestc)) {
-                    bestj = j;
-                    beste = e;
-                    bestc = a->cur.counts[j];
-                }
+            j = owner(a, m);
+            if (j == 0 && pass_no == 1) {
+                j = 1;
+                for (jj = 2; jj <= a->k; jj++)
+                    if (a->cur.counts[jj] < a->cur.counts[j])
+                        j = jj;
             }
-            if (bestj && (pass_no == 1 || beste == 0))
-                ann_add(a, m, bestj);
+            if (j > 0)
+                ann_add(a, m, j);
         }
     }
 }
@@ -644,7 +629,7 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
 {
     int64_t cur, best, nv, step, done = 0, last_improve = 0;
     double temp = t0, r, u, p_ruin, p;
-    int variant_idx = 0, m, j, jj, cnt, n_feas, moved, accept;
+    int variant_idx = 0, m, j, jj, own, cnt, moved, accept;
     uint64_t bits, comp, near, spare;
     ann_load(a, variants);
     fill(a, state);
@@ -673,7 +658,8 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
                 if (a->cur.counts[j] > 1) {
                     jj = other_family(a, state, j);
                     ann_remove(a, m);
-                    if (feasible(a, m, jj)) {
+                    own = owner(a, m);
+                    if (own == 0 || own == jj) {
                         ann_add(a, m, jj);
                         moved = 1;
                     } else {
@@ -700,12 +686,11 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
             cnt = popcount64(spare);
             if (cnt) {
                 m = nth_member(spare, rand_below(state, cnt));
-                n_feas = 0;
-                for (j = 1; j <= a->k; j++)
-                    if (feasible(a, m, j))
-                        a->feas[n_feas++] = j;
-                if (n_feas) {
-                    ann_add(a, m, a->feas[rand_below(state, n_feas)]);
+                own = owner(a, m);
+                if (own >= 0) {
+                    /* one draw over the families allowed to take m */
+                    jj = (int)rand_below(state, own ? 1 : a->k) + 1;
+                    ann_add(a, m, own ? own : jj);
                     moved = 1;
                 }
             }
@@ -723,7 +708,7 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
             }
         } else { /* dig a coordinated hole: drop everything comparable to a pivot */
             bits = (uint64_t)1 << a->usable[rand_below(state, a->n_usable)];
-            near = (close_up(a, bits) | close_down(a, bits)) & a->cur.support;
+            near = comparable_to(a, bits) & a->cur.support;
             for (; near; near &= near - 1) {
                 m = lowest_bit(near);
                 if (a->cur.counts[a->cur.labels[m]] > 1) {

@@ -11,7 +11,7 @@ import pytest
 from sperner.bounds import BoundId
 from sperner.cli import main
 from sperner.search import min_comparability_table
-from sperner.witness import load_witness
+from sperner.witness import check_witness, load_witness, parse_witness
 
 
 def run(*argv):
@@ -131,6 +131,18 @@ def test_search_exact_proves_and_writes(tmp_path, capsys):
     payload = load_witness(str(out))
     assert payload["provenance"]["search"]["optimal"] is True
     assert payload["measures"]["product"] == 9
+
+
+def test_search_out_dash_prints_witness_after_status(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("search", "sigma", "--n", "3", "--k", "2", "--out", "-") == 0
+    status, _, text = capsys.readouterr().out.partition("\n")
+    assert "status=proved" in status
+    payload = parse_witness(text)
+    assert check_witness(payload) == []
+    assert payload["provenance"]["search"]["optimal"] is True
+    assert "wrote" not in text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_exact_budget_exhausted(capsys):
