@@ -18,7 +18,7 @@ import ctypes
 import time
 from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint8, c_uint64
 
-ANNEAL_MAX_GROUND = 6
+ANNEAL_MAX_GROUND = 12
 _MAX_K = 255  # annealer labels are bytes
 _WORD = 64
 _MASK64 = (1 << 64) - 1
@@ -37,7 +37,8 @@ _SIGNATURES = {
     "sperner_anneal_chain": (c_int, [
         c_int, c_int, c_int, c_int, POINTER(c_int), c_int, POINTER(c_uint8),
         c_uint64, c_int64, c_double, c_double, c_int64, c_int64, c_int,
-        c_double, POINTER(c_int64), POINTER(c_uint8), POINTER(c_int64)]),
+        c_double, POINTER(c_int64), POINTER(c_uint8), POINTER(c_int64),
+        POINTER(c_uint64)]),
 }
 
 
@@ -131,8 +132,9 @@ class Library:
 
     def anneal_chain(self, n, k, product, usable, variants, seed, steps, t0,
                      alpha, restart_interval, stop_value, deadline):
-        """Same contract and trajectory as the pure version, one word per
-        bitset; n must stay at or below ANNEAL_MAX_GROUND."""
+        """Same contract and trajectory as the pure version, final
+        generator state included, on bitsets of max(1, 2**n / 64) words;
+        n must stay at or below ANNEAL_MAX_GROUND."""
         _check(0 <= n <= ANNEAL_MAX_GROUND,
                f"compiled annealer is limited to n <= {ANNEAL_MAX_GROUND}, got {n}")
         _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
@@ -148,13 +150,14 @@ class Library:
         _check(all(0 <= lab <= k for lab in flat), f"annealer labels must lie in 0..{k}")
         best = c_int64()
         done = c_int64()
+        state = c_uint64()
         best_labels = (c_uint8 * total)()
         timed, left = _time_left(deadline)
         rc = self._lib.sperner_anneal_chain(
             n, k, bool(product), len(usable), _array(c_int, usable), len(variants),
             _array(c_uint8, flat), seed & _MASK64, steps, t0, alpha,
             restart_interval, stop_value or 0, timed, left,
-            byref(best), best_labels, byref(done))
+            byref(best), best_labels, byref(done), byref(state))
         if rc:
             raise MemoryError("anneal_chain ran out of memory")
-        return best.value, best_labels[:], done.value
+        return best.value, best_labels[:], done.value, state.value

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 
-from ..lattice import _comparable_bits, bit_positions, bits_of
+from ..lattice import _comparable_bits, _positions_with_bit, bit_positions, bits_of
 
 BACKEND = "pure"
 
@@ -236,13 +236,15 @@ def exact_search(m_count, k, product, masks, cmp_fwd, floor_value,
 
 
 class _AnnealState:
-    __slots__ = ("n", "k", "total", "labels", "fams", "near", "counts",
-                 "support", "support_count")
+    __slots__ = ("n", "k", "total", "universe", "hi", "labels", "fams", "near",
+                 "counts", "support", "support_count")
 
     def __init__(self, n, k):
         self.n = n
         self.k = k
         self.total = 1 << n
+        self.universe = (1 << self.total) - 1
+        self.hi = [_positions_with_bit(n, b) for b in range(n)]
         self.labels = [0] * self.total
         self.fams = [0] * (k + 1)
         self.near = [0] * (k + 1)  # masks comparable to a member of each family
@@ -288,13 +290,25 @@ class _AnnealState:
                 found = j
         return found
 
+    def one(self, m):
+        """The masks comparable to m alone: its supersets, which have every
+        element of m, and its subsets, which lack every element outside m."""
+        sup = sub = self.universe
+        for b, hi in enumerate(self.hi):
+            if m >> b & 1:
+                sup &= hi
+            else:
+                sub &= ~hi
+        return sup | sub
+
     def add(self, m, j):
+        # the comparable set of a family grows by one(m) when m joins it
         self.labels[m] = j
         self.fams[j] |= 1 << m
+        self.near[j] |= self.one(m)
         self.counts[j] += 1
         self.support |= 1 << m
         self.support_count += 1
-        self._reclose(j)
 
     def remove(self, m):
         j = self.labels[m]
@@ -319,7 +333,7 @@ class _AnnealState:
         frontier = [m]
         while frontier:
             x = frontier.pop()
-            near = _comparable_bits(1 << x, self.n) & self.support & ~comp
+            near = self.one(x) & self.support & ~comp
             comp |= near
             frontier += bit_positions(near)
         return comp
@@ -333,7 +347,9 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
     construction variants.  Fully determined by the seed (wall-clock
     deadline aside).
 
-    Returns (best_value, best_labels, steps_done).
+    Returns (best_value, best_labels, steps_done, final_state), where
+    final_state is the generator state after the chain's last draw, so a
+    drift in the draws shows even after the chain's last improvement.
     """
     st = _AnnealState(n, k)
     state = seed & _MASK64
@@ -432,7 +448,7 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
                     moved = True
         else:  # dig a coordinated hole: drop everything comparable to a pivot
             state, idx = _rand_below(state, len(usable))
-            near = _comparable_bits(1 << usable[idx], n) & st.support
+            near = st.one(usable[idx]) & st.support
             for m in bit_positions(near):
                 if st.counts[st.labels[m]] > 1:
                     st.remove(m)
@@ -468,4 +484,4 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
             cur = st.value(product)
             temp = t0
             last_improve = step
-    return best, best_labels, done
+    return best, best_labels, done, state

@@ -6,9 +6,9 @@
  * A fixed seed therefore produces identical trajectories on either
  * backend; the tests rely on it.  Both DFS kernels check their deadline
  * every 4096 nodes, both annealers before every step.  The annealer
- * packs each family bitset into one 64-bit word, so it only serves
- * grounds with at most ANNEAL_MAX_GROUND elements; the engine uses the
- * pure kernels above that.
+ * packs each family bitset into max(1, 2**n / 64) 64-bit words, at most
+ * 64, so it only serves grounds with at most ANNEAL_MAX_GROUND elements;
+ * the engine uses the pure kernels above that.
  *
  * _clib.py binds the exported sperner_* functions with ctypes and, before
  * each call, checks every argument that sizes or indexes a buffer; the
@@ -27,7 +27,7 @@
 #include <string.h>
 #include <time.h>
 
-#define ANNEAL_MAX_GROUND 6
+#define ANNEAL_MAX_GROUND 12
 #define ANNEAL_MAX_K 255 /* labels are bytes */
 #define FREE 0
 #define DEAD 255
@@ -433,12 +433,70 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
 
 /* -- annealing chain ------------------------------------------------------ */
 
+/* A bitset over the masks of the ground has W = max(1, 2**n / 64) words:
+ * mask m is bit m % 64 of word m / 64.  Elements 0..5 of a mask pick its
+ * bit inside a word, elements 6 and up pick its word. */
+
+/* in-word positions whose mask has element b, for b < 6 */
+static const uint64_t HI[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
+};
+
+static void set_bit(uint64_t *bits, int m)
+{
+    bits[m >> 6] |= (uint64_t)1 << (m & 63);
+}
+
+static void clear_bit(uint64_t *bits, int m)
+{
+    bits[m >> 6] &= ~((uint64_t)1 << (m & 63));
+}
+
+static int count_bits(const uint64_t *bits, int words)
+{
+    int w, c = 0;
+    for (w = 0; w < words; w++)
+        c += popcount64(bits[w]);
+    return c;
+}
+
+/* the least member of bits at or above position from, or -1 */
+static int next_member(const uint64_t *bits, int words, int from)
+{
+    int w = from >> 6;
+    uint64_t x;
+    if (w >= words)
+        return -1;
+    x = bits[w] & (~(uint64_t)0 << (from & 63));
+    while (!x) {
+        if (++w == words)
+            return -1;
+        x = bits[w];
+    }
+    return (w << 6) + lowest_bit(x);
+}
+
+/* the member of rank idx in ascending order; idx must be below the count */
+static int nth_member(const uint64_t *bits, uint64_t idx)
+{
+    int w = 0;
+    uint64_t c, x;
+    while ((c = (uint64_t)popcount64(bits[w])) <= idx) {
+        idx -= c;
+        w++;
+    }
+    for (x = bits[w]; idx; idx--)
+        x &= x - 1;
+    return (w << 6) + lowest_bit(x);
+}
+
 typedef struct {
-    uint8_t labels[1 << ANNEAL_MAX_GROUND];
-    uint64_t fams[ANNEAL_MAX_K + 1];
-    uint64_t near[ANNEAL_MAX_K + 1]; /* masks comparable to a member */
-    int64_t counts[ANNEAL_MAX_K + 1];
-    uint64_t support;
+    uint8_t *labels;   /* total */
+    uint64_t *fams;    /* k + 1 bitsets */
+    uint64_t *near;    /* k + 1 bitsets: masks comparable to a member */
+    int64_t *counts;   /* k + 1 */
+    uint64_t *support; /* one bitset */
     int support_count;
 } AnnState;
 
@@ -446,63 +504,110 @@ typedef struct {
     int n;
     int k;
     int total;
+    int words;
     int product;
-    uint64_t hi[ANNEAL_MAX_GROUND]; /* positions whose mask has element b */
+    uint64_t word_mask; /* the positions of a word that hold a mask */
     AnnState cur;
     AnnState snap;
     int n_usable;
     const int *usable;
-    uint64_t usable_bits;
-    int order[1 << ANNEAL_MAX_GROUND];
+    uint64_t *usable_bits;
+    int *order; /* n_usable */
+    int *stack; /* total */
+    /* scratch bitsets */
+    uint64_t *down; /* comparable_to */
+    uint64_t *one;  /* ann_add and component */
+    uint64_t *comp; /* component */
+    uint64_t *pick; /* the add and dig-hole moves */
 } Ann;
 
-/* every mask comparable to a member of bits: the union of both closures */
-static uint64_t comparable_to(const Ann *a, uint64_t bits)
+static uint64_t *fam_of(const AnnState *s, const Ann *a, int j)
 {
-    uint64_t up = bits, down = bits;
-    int b;
-    for (b = 0; b < a->n; b++) {
-        up |= (up & ~a->hi[b]) << ((uint64_t)1 << b);
-        down |= (down & a->hi[b]) >> ((uint64_t)1 << b);
+    return s->fams + (size_t)j * a->words;
+}
+
+static uint64_t *near_of(const AnnState *s, const Ann *a, int j)
+{
+    return s->near + (size_t)j * a->words;
+}
+
+/* out = every mask comparable to a member of bits: the union of both
+ * closures.  Element b < 6 shifts bits inside each word; element b >= 6
+ * joins each word w that lacks bit b - 6 with word w | 2**(b-6). */
+static void comparable_to(const Ann *a, const uint64_t *bits, uint64_t *out)
+{
+    uint64_t *up = out, *down = a->down, u, d;
+    int w, b, s, inner = a->n < 6 ? a->n : 6;
+    for (w = 0; w < a->words; w++) {
+        u = d = bits[w];
+        for (b = 0; b < inner; b++) {
+            u |= (u & ~HI[b]) << (1 << b);
+            d |= (d & HI[b]) >> (1 << b);
+        }
+        up[w] = u;
+        down[w] = d;
     }
-    return up | down;
+    for (s = 1; s < a->words; s <<= 1)
+        for (w = 0; w < a->words; w++)
+            if (!(w & s)) {
+                up[w | s] |= up[w];
+                down[w] |= down[w | s];
+            }
+    for (w = 0; w < a->words; w++)
+        out[w] = up[w] | down[w];
+}
+
+/* out = the masks comparable to m alone, its supersets and its subsets.
+ * A mask contains m when its word index contains m's high part and its
+ * bit contains m's low part; it lies inside m likewise. */
+static void one(const Ann *a, int m, uint64_t *out)
+{
+    int lo = m & 63, hi = m >> 6, b, w;
+    uint64_t sup = a->word_mask, sub = a->word_mask;
+    for (b = 0; b < 6; b++) {
+        if (lo >> b & 1)
+            sup &= HI[b];
+        else
+            sub &= ~HI[b];
+    }
+    for (w = 0; w < a->words; w++)
+        out[w] = ((w & hi) == hi ? sup : 0) | ((w | hi) == hi ? sub : 0);
 }
 
 static void reclose(Ann *a, int j)
 {
-    a->cur.near[j] = comparable_to(a, a->cur.fams[j]);
+    comparable_to(a, fam_of(&a->cur, a, j), near_of(&a->cur, a, j));
 }
 
 static void ann_load(Ann *a, const uint8_t *labels)
 {
+    AnnState *s = &a->cur;
     int m, j;
-    memcpy(a->cur.labels, labels, a->total);
-    for (j = 0; j <= a->k; j++) {
-        a->cur.fams[j] = 0;
-        a->cur.counts[j] = 0;
-    }
-    a->cur.support = 0;
+    memcpy(s->labels, labels, a->total);
+    memset(s->fams, 0, (size_t)(a->k + 1) * a->words * sizeof(uint64_t));
+    memset(s->counts, 0, (a->k + 1) * sizeof(int64_t));
+    memset(s->support, 0, a->words * sizeof(uint64_t));
     for (m = 0; m < a->total; m++) {
         j = labels[m];
         if (j) {
-            a->cur.fams[j] |= (uint64_t)1 << m;
-            a->cur.counts[j]++;
-            a->cur.support |= (uint64_t)1 << m;
+            set_bit(fam_of(s, a, j), m);
+            s->counts[j]++;
+            set_bit(s->support, m);
         }
     }
-    a->cur.support_count = popcount64(a->cur.support);
+    s->support_count = count_bits(s->support, a->words);
     for (j = 1; j <= a->k; j++)
         reclose(a, j);
 }
 
 static void copy_state(AnnState *dst, const AnnState *src, const Ann *a)
 {
-    size_t fam_bytes = (a->k + 1) * sizeof(uint64_t);
+    size_t fam_bytes = (size_t)(a->k + 1) * a->words * sizeof(uint64_t);
     memcpy(dst->labels, src->labels, a->total);
     memcpy(dst->fams, src->fams, fam_bytes);
     memcpy(dst->near, src->near, fam_bytes);
     memcpy(dst->counts, src->counts, (a->k + 1) * sizeof(int64_t));
-    dst->support = src->support;
+    memcpy(dst->support, src->support, a->words * sizeof(uint64_t));
     dst->support_count = src->support_count;
 }
 
@@ -511,10 +616,11 @@ static void copy_state(AnnState *dst, const AnnState *src, const Ann *a)
  * m, 0 when none does and -1 when two or more do. */
 static int owner(const Ann *a, int m)
 {
-    uint64_t bit = (uint64_t)1 << m;
+    const uint64_t *near = a->cur.near + (m >> 6);
+    uint64_t bit = (uint64_t)1 << (m & 63);
     int j, found = 0;
     for (j = 1; j <= a->k; j++) {
-        if (a->cur.near[j] & bit) {
+        if (near[(size_t)j * a->words] & bit) {
             if (found)
                 return -1;
             found = j;
@@ -523,23 +629,28 @@ static int owner(const Ann *a, int m)
     return found;
 }
 
+/* the comparable set of a family grows by one(m) when m joins it */
 static void ann_add(Ann *a, int m, int j)
 {
+    uint64_t *near = near_of(&a->cur, a, j);
+    int w;
     a->cur.labels[m] = (uint8_t)j;
-    a->cur.fams[j] |= (uint64_t)1 << m;
+    set_bit(fam_of(&a->cur, a, j), m);
     a->cur.counts[j]++;
-    a->cur.support |= (uint64_t)1 << m;
+    set_bit(a->cur.support, m);
     a->cur.support_count++;
-    reclose(a, j);
+    one(a, m, a->one);
+    for (w = 0; w < a->words; w++)
+        near[w] |= a->one[w];
 }
 
 static void ann_remove(Ann *a, int m)
 {
     int j = a->cur.labels[m];
     a->cur.labels[m] = 0;
-    a->cur.fams[j] &= ~((uint64_t)1 << m);
+    clear_bit(fam_of(&a->cur, a, j), m);
     a->cur.counts[j]--;
-    a->cur.support &= ~((uint64_t)1 << m);
+    clear_bit(a->cur.support, m);
     a->cur.support_count--;
     reclose(a, j);
 }
@@ -556,29 +667,24 @@ static int64_t ann_value(const Ann *a)
     return v;
 }
 
-static int nth_member(uint64_t bits, uint64_t idx)
+/* a->comp = the comparability component of m inside the support */
+static void component(Ann *a, int m)
 {
-    for (; idx; idx--)
-        bits &= bits - 1;
-    return lowest_bit(bits);
-}
-
-/* comparability component of m inside the support */
-static uint64_t component(const Ann *a, int m)
-{
-    uint64_t comp = (uint64_t)1 << m, near;
-    int stack[64];
-    int top = 0, x;
-    stack[top++] = m;
+    uint64_t near;
+    int top = 0, x, w;
+    memset(a->comp, 0, a->words * sizeof(uint64_t));
+    set_bit(a->comp, m);
+    a->stack[top++] = m;
     while (top) {
-        x = stack[--top];
-        near = comparable_to(a, (uint64_t)1 << x) & a->cur.support & ~comp;
-        for (; near; near &= near - 1) {
-            comp |= near & (~near + 1);
-            stack[top++] = lowest_bit(near);
+        x = a->stack[--top];
+        one(a, x, a->one);
+        for (w = 0; w < a->words; w++) {
+            near = a->one[w] & a->cur.support[w] & ~a->comp[w];
+            a->comp[w] |= near;
+            for (; near; near &= near - 1)
+                a->stack[top++] = (w << 6) + lowest_bit(near);
         }
     }
-    return comp;
 }
 
 /* greedy refill to a maximal labeling, in a freshly shuffled order */
@@ -622,6 +728,12 @@ static int other_family(const Ann *a, uint64_t *state, int j)
     return pick + (pick >= j ? 1 : 0);
 }
 
+/* a uniformly drawn member of the support, which must not be empty */
+static int support_member(const Ann *a, uint64_t *state)
+{
+    return nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+}
+
 static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *state,
                        int64_t steps, double t0, double alpha,
                        int64_t restart_interval, int64_t stop_value,
@@ -629,8 +741,7 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
 {
     int64_t cur, best, nv, step, done = 0, last_improve = 0;
     double temp = t0, r, u, p_ruin, p;
-    int variant_idx = 0, m, j, jj, own, cnt, moved, accept;
-    uint64_t bits, comp, near, spare;
+    int variant_idx = 0, m, j, jj, w, own, cnt, moved, accept;
     ann_load(a, variants);
     fill(a, state);
     cur = ann_value(a);
@@ -645,7 +756,7 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
         moved = 0;
         if (r < 0.20) { /* remove */
             if (a->cur.support_count) {
-                m = nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+                m = support_member(a, state);
                 if (a->cur.counts[a->cur.labels[m]] > 1) {
                     ann_remove(a, m);
                     moved = 1;
@@ -653,7 +764,7 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
             }
         } else if (r < 0.40) { /* move to another family */
             if (a->cur.support_count) {
-                m = nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+                m = support_member(a, state);
                 j = a->cur.labels[m];
                 if (a->cur.counts[j] > 1) {
                     jj = other_family(a, state, j);
@@ -669,23 +780,26 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
             }
         } else if (r < 0.55) { /* recolor a whole component */
             if (a->cur.support_count) {
-                m = nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+                m = support_member(a, state);
                 j = a->cur.labels[m];
-                comp = component(a, m);
-                if (popcount64(comp) < a->cur.counts[j]) {
+                component(a, m);
+                if (count_bits(a->comp, a->words) < a->cur.counts[j]) {
                     jj = other_family(a, state, j);
-                    for (bits = comp; bits; bits &= bits - 1)
-                        ann_remove(a, lowest_bit(bits));
-                    for (bits = comp; bits; bits &= bits - 1)
-                        ann_add(a, lowest_bit(bits), jj);
+                    for (m = next_member(a->comp, a->words, 0); m >= 0;
+                         m = next_member(a->comp, a->words, m + 1))
+                        ann_remove(a, m);
+                    for (m = next_member(a->comp, a->words, 0); m >= 0;
+                         m = next_member(a->comp, a->words, m + 1))
+                        ann_add(a, m, jj);
                     moved = 1;
                 }
             }
         } else if (r < 0.70) { /* add */
-            spare = a->usable_bits & ~a->cur.support;
-            cnt = popcount64(spare);
+            for (w = 0; w < a->words; w++)
+                a->pick[w] = a->usable_bits[w] & ~a->cur.support[w];
+            cnt = count_bits(a->pick, a->words);
             if (cnt) {
-                m = nth_member(spare, rand_below(state, cnt));
+                m = nth_member(a->pick, rand_below(state, cnt));
                 own = owner(a, m);
                 if (own >= 0) {
                     /* one draw over the families allowed to take m */
@@ -696,21 +810,22 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
             }
         } else if (r < 0.85) { /* ruin a random chunk of the support and rebuild */
             p_ruin = 0.1 + 0.3 * rand_unit(state);
-            for (bits = a->cur.support; bits; bits &= bits - 1) {
+            /* a removal clears only the bit just visited, so walking the
+             * live support visits the members it had at the start */
+            for (m = next_member(a->cur.support, a->words, 0); m >= 0;
+                 m = next_member(a->cur.support, a->words, m + 1)) {
                 u = rand_unit(state);
-                if (u < p_ruin) {
-                    m = lowest_bit(bits);
-                    if (a->cur.counts[a->cur.labels[m]] > 1) {
-                        ann_remove(a, m);
-                        moved = 1;
-                    }
+                if (u < p_ruin && a->cur.counts[a->cur.labels[m]] > 1) {
+                    ann_remove(a, m);
+                    moved = 1;
                 }
             }
         } else { /* dig a coordinated hole: drop everything comparable to a pivot */
-            bits = (uint64_t)1 << a->usable[rand_below(state, a->n_usable)];
-            near = comparable_to(a, bits) & a->cur.support;
-            for (; near; near &= near - 1) {
-                m = lowest_bit(near);
+            one(a, a->usable[rand_below(state, a->n_usable)], a->pick);
+            for (w = 0; w < a->words; w++)
+                a->pick[w] &= a->cur.support[w];
+            for (m = next_member(a->pick, a->words, 0); m >= 0;
+                 m = next_member(a->pick, a->words, m + 1)) {
                 if (a->cur.counts[a->cur.labels[m]] > 1) {
                     ann_remove(a, m);
                     moved = 1;
@@ -757,41 +872,78 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
     return done;
 }
 
+/* hands out the next count elements of size bytes from *p */
+static void *carve(char **p, size_t count, size_t size)
+{
+    void *out = *p;
+    *p += count * size;
+    return out;
+}
+
 /* One annealing chain, same contract and trajectory as the pure
  * anneal_chain.  variants holds n_var labelings of 2**n bytes each;
- * best_labels receives 2**n bytes.  Requires n <= ANNEAL_MAX_GROUND,
- * 2 <= k <= ANNEAL_MAX_K and 1 <= n_usable; returns -1 otherwise. */
+ * best_labels receives 2**n bytes and state_out the generator state
+ * after the last draw.  Requires n <= ANNEAL_MAX_GROUND,
+ * 2 <= k <= ANNEAL_MAX_K and 1 <= n_usable; returns -1 otherwise, or
+ * when memory runs out. */
 int sperner_anneal_chain(int n, int k, int product, int n_usable,
                          const int *usable, int n_var, const uint8_t *variants,
                          uint64_t seed, int64_t steps, double t0, double alpha,
                          int64_t restart_interval, int64_t stop_value, int timed,
                          double time_left, int64_t *best_out,
-                         uint8_t *best_labels, int64_t *done_out)
+                         uint8_t *best_labels, int64_t *done_out,
+                         uint64_t *state_out)
 {
-    Ann *a;
-    int i, m;
+    Ann a;
+    char *block, *p;
+    size_t words, rows;
+    int i;
     uint64_t state = seed;
     if (n < 0 || n > ANNEAL_MAX_GROUND || k < 2 || k > ANNEAL_MAX_K
         || n_usable < 1 || n_usable > (1 << n) || n_var < 1)
         return -1;
-    a = calloc(1, sizeof(Ann));
-    if (!a)
+    memset(&a, 0, sizeof(a));
+    a.n = n;
+    a.k = k;
+    a.total = 1 << n;
+    a.words = a.total < 64 ? 1 : a.total >> 6;
+    a.word_mask = a.total < 64 ? ((uint64_t)1 << a.total) - 1 : ~(uint64_t)0;
+    a.product = product;
+    a.n_usable = n_usable;
+    a.usable = usable;
+    /* one block, widest elements first so that each array stays aligned */
+    words = a.words;
+    rows = (size_t)(k + 1) * words;
+    block = calloc(1, (4 * rows + 7 * words) * sizeof(uint64_t)
+                          + 2 * (k + 1) * sizeof(int64_t)
+                          + (size_t)(n_usable + a.total) * sizeof(int)
+                          + 2 * (size_t)a.total);
+    if (!block)
         return -1;
-    a->n = n;
-    a->k = k;
-    a->total = 1 << n;
-    a->product = product;
-    a->n_usable = n_usable;
-    a->usable = usable;
-    for (i = 0; i < n; i++)
-        for (m = 0; m < a->total; m++)
-            if (m >> i & 1)
-                a->hi[i] |= (uint64_t)1 << m;
+    p = block;
+    a.cur.fams = carve(&p, rows, sizeof(uint64_t));
+    a.cur.near = carve(&p, rows, sizeof(uint64_t));
+    a.snap.fams = carve(&p, rows, sizeof(uint64_t));
+    a.snap.near = carve(&p, rows, sizeof(uint64_t));
+    a.cur.support = carve(&p, words, sizeof(uint64_t));
+    a.snap.support = carve(&p, words, sizeof(uint64_t));
+    a.usable_bits = carve(&p, words, sizeof(uint64_t));
+    a.down = carve(&p, words, sizeof(uint64_t));
+    a.one = carve(&p, words, sizeof(uint64_t));
+    a.comp = carve(&p, words, sizeof(uint64_t));
+    a.pick = carve(&p, words, sizeof(uint64_t));
+    a.cur.counts = carve(&p, k + 1, sizeof(int64_t));
+    a.snap.counts = carve(&p, k + 1, sizeof(int64_t));
+    a.order = carve(&p, n_usable, sizeof(int));
+    a.stack = carve(&p, a.total, sizeof(int));
+    a.cur.labels = carve(&p, a.total, 1);
+    a.snap.labels = carve(&p, a.total, 1);
     for (i = 0; i < n_usable; i++)
-        a->usable_bits |= (uint64_t)1 << usable[i];
-    *done_out = ann_run(a, variants, n_var, &state, steps, t0, alpha,
+        set_bit(a.usable_bits, usable[i]);
+    *done_out = ann_run(&a, variants, n_var, &state, steps, t0, alpha,
                         restart_interval, stop_value, deadline_of(timed, time_left),
                         best_out, best_labels);
-    free(a);
+    *state_out = state;
+    free(block);
     return 0;
 }

@@ -125,8 +125,8 @@ def resolve_threads(explicit: int | None) -> int:
 def _select(n: int):
     """The kernel module for a search on ground n, and whether its chains
     may share a thread pool (only the compiled kernels release the
-    interpreter lock).  The compiled annealer packs a family into one
-    machine word, hence the ground limit; exact search and tables are
+    interpreter lock).  The compiled annealer packs a family into at most
+    64 machine words, hence the ground limit; exact search and tables are
     gated below it."""
     if _kernels is not None and n <= ANNEAL_MAX_GROUND:
         return _kernels, True
@@ -411,7 +411,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
     best_val = -1
     best_tuple = None
     steps_done = 0
-    for value, labels, done in outs:
+    for value, labels, done, _ in outs:
         steps_done += done
         cand = _tuple_from_order_labels(cfg.n, cfg.k, labels, range(total))
         if value > best_val or (

@@ -240,14 +240,27 @@ def test_exact_deadline_abort():
 
 
 def test_pure_anneal_holds_time_budget():
-    # above n = 6 the pure annealer runs; one of its steps takes
-    # milliseconds at n = 12, so the deadline is checked on every step
+    # above n = 12 the pure annealer runs; one of its steps takes tens of
+    # milliseconds at n = 13, so the deadline is checked on every step
+    start = time.monotonic()
+    res = anneal_max_product(
+        SearchConfig(13, 3, mode="heuristic", budget_secs=0.5, threads=1)
+    )
+    assert time.monotonic() - start < 1.0
+    assert res.backend == "pure"
+    assert is_cross_sperner(res.witness).ok
+
+
+def test_compiled_anneal_holds_time_budget():
+    # n = 12 is the largest ground of the compiled annealer, 64 words a bitset
+    from sperner.search import engine
+
     start = time.monotonic()
     res = anneal_max_product(
         SearchConfig(12, 3, mode="heuristic", budget_secs=0.5, threads=1)
     )
     assert time.monotonic() - start < 1.0
-    assert res.backend == "pure"
+    assert res.backend == engine._select(12)[0].BACKEND
     assert is_cross_sperner(res.witness).ok
 
 
@@ -319,24 +332,30 @@ def test_anneal_thread_count_changes_exploration_not_validity():
     assert four.value >= one.value  # chain 0 of both runs is the same
 
 
-def test_pure_anneal_frozen_at_7_3():
-    # above n = 6 the chains run on the pure kernels, one after another
+def test_pure_anneal_frozen_at_7_3(monkeypatch):
+    # frozen on the pure kernels, whose chains run one after another; the
+    # compiled ones, which serve n = 7 when built, run them on a pool
+    from sperner.search import engine
+
     cfg = SearchConfig(7, 3, mode="heuristic", seed=1, threads=2, budget_nodes=200)
-    prod = anneal_max_product(cfg)
-    assert (prod.value, prod.nodes, prod.backend) == (6075, 400, "pure")
-    assert prod.witness.canonical_key() == (
-        (10, 11, 13, 14, 15, 18, 19, 21, 22, 23, 26, 27, 29, 30, 31),
-        (34, 35, 37, 38, 39, 66, 67, 69, 70, 71, 98, 99, 101, 102, 103),
-        (40, 41, 44, 48, 49, 52, 56, 57, 60, 72, 73, 76, 80, 81, 84, 88, 89,
-         92, 104, 105, 108, 112, 113, 116, 120, 121, 124),
-    )
-    total = anneal_max_sum(cfg)
-    assert (total.value, total.nodes, total.backend) == (96, 400, "pure")
-    assert total.witness.canonical_key() == (
-        (*range(3, 32), *range(35, 64), *range(67, 96), *range(100, 125, 4)),
-        (97,),
-        (98,),
-    )
+    for backend in (engine._select(7)[0].BACKEND, "pure"):
+        if backend == "pure":
+            monkeypatch.setattr(engine, "_kernels", None)
+        prod = anneal_max_product(cfg)
+        assert (prod.value, prod.nodes, prod.backend) == (6075, 400, backend)
+        assert prod.witness.canonical_key() == (
+            (10, 11, 13, 14, 15, 18, 19, 21, 22, 23, 26, 27, 29, 30, 31),
+            (34, 35, 37, 38, 39, 66, 67, 69, 70, 71, 98, 99, 101, 102, 103),
+            (40, 41, 44, 48, 49, 52, 56, 57, 60, 72, 73, 76, 80, 81, 84, 88, 89,
+             92, 104, 105, 108, 112, 113, 116, 120, 121, 124),
+        )
+        total = anneal_max_sum(cfg)
+        assert (total.value, total.nodes, total.backend) == (96, 400, backend)
+        assert total.witness.canonical_key() == (
+            (*range(3, 32), *range(35, 64), *range(67, 96), *range(100, 125, 4)),
+            (97,),
+            (98,),
+        )
 
 
 KNOWN_TARGETS = [
@@ -398,9 +417,9 @@ def test_resolve_threads_default():
 def test_kernel_selection_rule():
     from sperner.search import _kernels_py, engine
 
-    assert engine._select(7) == (_kernels_py, False)
+    assert engine._select(13) == (_kernels_py, False)
     compiled = engine._kernels
-    for n in range(1, 7):
+    for n in range(1, 13):
         want = (compiled, True) if compiled is not None else (_kernels_py, False)
         assert engine._select(n) == want
     assert BACKEND == engine._select(5)[0].BACKEND
@@ -496,8 +515,20 @@ class TestBackendParity:
             assert self.pure.exact_search(*args) == self.fast.exact_search(*args)
 
     def test_anneal_chain_identical(self):
-        for n, k, product, seed in [(5, 3, True, 1), (5, 2, False, 9)]:
-            args = _anneal_args(n, k, product, seed, 3000)
+        # the final generator state in each result shows any extra or
+        # missing draw; n = 7, 8, 10 and 12 take 2, 4, 16 and 64 words a
+        # bitset, and their short restart intervals bring in restarts
+        for n, k, product, seed, steps, restart in [
+            (5, 3, True, 1, 3000, None),
+            (5, 2, False, 9, 3000, None),
+            (7, 5, True, 3, 1200, 40),
+            (8, 4, False, 6, 500, 30),
+            (10, 3, True, 2, 180, 20),
+            (10, 5, False, 7, 180, 20),
+            (12, 3, True, 4, 40, 8),
+            (12, 2, False, 5, 30, 8),
+        ]:
+            args = _anneal_args(n, k, product, seed, steps, restart)
             assert self.pure.anneal_chain(*args) == self.fast.anneal_chain(*args)
 
 
@@ -536,17 +567,24 @@ class TestGccKernelParity(TestBackendParity):
         self.fast = gcc_kernels
 
 
-# (n, k, product, seed) -> (value, steps, sha256 of the best labels) of one
-# 3000-step chain restarting every 300 steps without improvement.  Both
-# kernels must give these, so a drift they share still shows.  At (6, 3)
-# seed 5 a restart finds 810, which the same chain without restarts misses.
+# (n, k, product, seed, steps, restart interval) -> (value, steps, sha256 of
+# the best labels, final generator state) of one chain.  Both kernels must
+# give these, so a drift they share still shows.  At (6, 3) seed 5 a restart
+# finds 810, which the same chain without restarts misses; at (10, 3) seed 3
+# one finds 150**3.
 RESTART_FREEZE = [
-    ((6, 3, True, 1),
-     (729, 3000, "a68a4494fba2d27f8087d48160101d8294e8a1cafdb8147b076118d584b8cbef")),
-    ((5, 2, False, 9),
-     (22, 3000, "65fa33267e794a72ae841996be934b09ba54647088cd7a9040bfd217c3825b84")),
-    ((6, 3, True, 5),
-     (810, 3000, "4c31dfbf630d6ed4d46c50133d1ffa4a0bf669a40ad2df72f07959c3b8e5bb88")),
+    ((6, 3, True, 1, 3000, 300),
+     (729, 3000, "a68a4494fba2d27f8087d48160101d8294e8a1cafdb8147b076118d584b8cbef",
+      4576633084666566902)),
+    ((5, 2, False, 9, 3000, 300),
+     (22, 3000, "65fa33267e794a72ae841996be934b09ba54647088cd7a9040bfd217c3825b84",
+      883759828494494831)),
+    ((6, 3, True, 5, 3000, 300),
+     (810, 3000, "4c31dfbf630d6ed4d46c50133d1ffa4a0bf669a40ad2df72f07959c3b8e5bb88",
+      16206502214427813327)),
+    ((10, 3, True, 3, 200, 30),
+     (3375000, 200, "50d2e292d01fd56733c3172d16e507131118dbe31b577d6d6909e2b55753f218",
+      6016740024150326668)),
 ]
 
 
@@ -557,9 +595,8 @@ def test_anneal_restarts_frozen(request, backend, case, frozen):
         from sperner.search import _kernels_py as kernels
     else:
         kernels = request.getfixturevalue("gcc_kernels")
-    value, labels, steps = kernels.anneal_chain(
-        *_anneal_args(*case, 3000, restart=300))
-    assert (value, steps, hashlib.sha256(bytes(labels)).hexdigest()) == frozen
+    value, labels, steps, state = kernels.anneal_chain(*_anneal_args(*case))
+    assert (value, steps, hashlib.sha256(bytes(labels)).hexdigest(), state) == frozen
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -599,7 +636,7 @@ class TestCompiledGuards:
     def test_anneal_rejects_ground_above_limit(self, gcc_kernels):
         n = gcc_kernels.ANNEAL_MAX_GROUND + 1
         args = _anneal_args(n, 3, True, 1, 10)
-        with pytest.raises(ValueError, match="n <= 6"):
+        with pytest.raises(ValueError, match="n <= 12"):
             gcc_kernels.anneal_chain(*args)
 
     def test_anneal_rejects_variant_of_wrong_length(self, gcc_kernels):
