@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import ctypes
 import time
+from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint8, c_uint64
 
-ANNEAL_MAX_GROUND = 12
+from ..lattice import MAX_GROUND
+
 _MAX_K = 255  # annealer labels are bytes
 _WORD = 64
 _MASK64 = (1 << 64) - 1
@@ -67,7 +69,6 @@ class Library:
     """The kernels of one compiled library file."""
 
     BACKEND = "compiled"
-    ANNEAL_MAX_GROUND = ANNEAL_MAX_GROUND
 
     def __init__(self, path: str):
         try:
@@ -133,29 +134,35 @@ class Library:
     def anneal_chain(self, n, k, product, usable, variants, seed, steps, t0,
                      alpha, restart_interval, stop_value, deadline):
         """Same contract and trajectory as the pure version, final
-        generator state included, on bitsets of max(1, 2**n / 64) words;
-        n must stay at or below ANNEAL_MAX_GROUND."""
-        _check(0 <= n <= ANNEAL_MAX_GROUND,
-               f"compiled annealer is limited to n <= {ANNEAL_MAX_GROUND}, got {n}")
+        generator state included, on bitsets of max(1, 2**n / 64) words
+        for any n up to MAX_GROUND."""
+        _check(0 <= n <= MAX_GROUND,
+               f"compiled annealer is limited to n <= {MAX_GROUND}, got {n}")
         _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
         total = 1 << n
         _check(1 <= len(usable) <= total and _within(usable, n),
                f"annealer usable masks must be 1 to {total} masks below {total}")
         _check(len(variants) >= 1, "annealer needs at least one starting labeling")
-        flat = []
         for labels in variants:
             _check(len(labels) == total,
                    f"annealer variants need 2**n = {total} labels, got {len(labels)}")
-            flat.extend(labels)
-        _check(all(0 <= lab <= k for lab in flat), f"annealer labels must lie in 0..{k}")
+        # whole-buffer conversions: element by element they take seconds
+        # a chain at n = 20, with the interpreter lock held
+        try:
+            flat = b"".join(map(bytes, variants))
+        except ValueError:  # a label outside 0..255
+            flat = None
+        _check(flat is not None and max(flat) <= k, f"annealer labels must lie in 0..{k}")
+        masks = array("i", usable)
         best = c_int64()
         done = c_int64()
         state = c_uint64()
         best_labels = (c_uint8 * total)()
         timed, left = _time_left(deadline)
         rc = self._lib.sperner_anneal_chain(
-            n, k, bool(product), len(usable), _array(c_int, usable), len(variants),
-            _array(c_uint8, flat), seed & _MASK64, steps, t0, alpha,
+            n, k, bool(product), len(masks), (c_int * len(masks)).from_buffer(masks),
+            len(variants), (c_uint8 * len(flat)).from_buffer_copy(flat),
+            seed & _MASK64, steps, t0, alpha,
             restart_interval, stop_value or 0, timed, left,
             byref(best), best_labels, byref(done), byref(state))
         if rc:

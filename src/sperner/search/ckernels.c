@@ -6,9 +6,9 @@
  * A fixed seed therefore produces identical trajectories on either
  * backend; the tests rely on it.  Both DFS kernels check their deadline
  * every 4096 nodes, both annealers before every step.  The annealer
- * packs each family bitset into max(1, 2**n / 64) 64-bit words, at most
- * 64, so it only serves grounds with at most ANNEAL_MAX_GROUND elements;
- * the engine uses the pure kernels above that.
+ * packs each family bitset into max(1, 2**n / 64) 64-bit words, so it
+ * serves every ground up to the package-wide MAX_GROUND; a chain holds
+ * 4(k + 1) + 7 such bitsets.
  *
  * _clib.py binds the exported sperner_* functions with ctypes and, before
  * each call, checks every argument that sizes or indexes a buffer; the
@@ -27,7 +27,7 @@
 #include <string.h>
 #include <time.h>
 
-#define ANNEAL_MAX_GROUND 12
+#define MAX_GROUND 20 /* lattice.MAX_GROUND */
 #define ANNEAL_MAX_K 255 /* labels are bytes */
 #define FREE 0
 #define DEAD 255
@@ -136,6 +136,14 @@ void sperner_comp_scan(int64_t n_up, const uint64_t *ups, const int64_t *usizes,
             }
         }
     }
+}
+
+/* hands out the next count elements of size bytes from *p */
+static void *carve(char **p, size_t count, size_t size)
+{
+    void *out = *p;
+    *p += count * size;
+    return out;
 }
 
 /* -- exact label-assignment DFS ------------------------------------------- */
@@ -383,8 +391,14 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
                          int *has_labels_out, int *completed_out)
 {
     Ctx c;
-    int M = m_count, ok;
+    int M = m_count;
+    char *block, *p;
     size_t rows = M ? M : 1, fams = k > 0 ? k : 1, keycap = M + fams + 1;
+    /* one block, the int64 arrays first so that each one stays aligned */
+    block = calloc(1, (2 * keycap + rows + 5 * fams + 3) * sizeof(int64_t)
+                          + (M + 2) * rows);
+    if (!block)
+        return -1;
     memset(&c, 0, sizeof(c));
     c.M = M;
     c.k = k;
@@ -394,41 +408,29 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
     c.best = floor_value;
     c.target = target;
     c.node_budget = node_budget;
-    c.labels = calloc(rows, 1);
     c.best_labels = labels_out;
-    c.pins = calloc((M + 1) * rows, 1);
-    c.counts = calloc(fams + 1, sizeof(int64_t));
-    c.best_key = malloc(keycap * sizeof(int64_t));
-    c.key_buf = malloc(keycap * sizeof(int64_t));
-    c.tmp = malloc(rows * sizeof(int64_t));
-    c.starts = malloc((fams + 1) * sizeof(int64_t));
-    c.lens = malloc((fams + 1) * sizeof(int64_t));
-    c.ford = malloc(fams * sizeof(int64_t));
-    c.wf = malloc(fams * sizeof(int64_t));
-    ok = c.labels && c.pins && c.counts && c.best_key && c.key_buf && c.tmp
-         && c.starts && c.lens && c.ford && c.wf;
-    if (ok) {
-        c.deadline = deadline_of(timed, time_left);
-        if (M)
-            rec(&c, 0, 0, 0, c.pins);
-        else
-            c.nodes = 1;
-        *best_out = c.best;
-        *nodes_out = c.nodes;
-        *has_labels_out = c.has_labels;
-        *completed_out = !c.aborted;
-    }
-    free(c.labels);
-    free(c.pins);
-    free(c.counts);
-    free(c.best_key);
-    free(c.key_buf);
-    free(c.tmp);
-    free(c.starts);
-    free(c.lens);
-    free(c.ford);
-    free(c.wf);
-    return ok ? 0 : -1;
+    p = block;
+    c.counts = carve(&p, fams + 1, sizeof(int64_t));
+    c.best_key = carve(&p, keycap, sizeof(int64_t));
+    c.key_buf = carve(&p, keycap, sizeof(int64_t));
+    c.tmp = carve(&p, rows, sizeof(int64_t));
+    c.starts = carve(&p, fams + 1, sizeof(int64_t));
+    c.lens = carve(&p, fams + 1, sizeof(int64_t));
+    c.ford = carve(&p, fams, sizeof(int64_t));
+    c.wf = carve(&p, fams, sizeof(int64_t));
+    c.labels = carve(&p, rows, 1);
+    c.pins = carve(&p, (M + 1) * rows, 1);
+    c.deadline = deadline_of(timed, time_left);
+    if (M)
+        rec(&c, 0, 0, 0, c.pins);
+    else
+        c.nodes = 1;
+    *best_out = c.best;
+    *nodes_out = c.nodes;
+    *has_labels_out = c.has_labels;
+    *completed_out = !c.aborted;
+    free(block);
+    return 0;
 }
 
 /* -- annealing chain ------------------------------------------------------ */
@@ -872,20 +874,11 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
     return done;
 }
 
-/* hands out the next count elements of size bytes from *p */
-static void *carve(char **p, size_t count, size_t size)
-{
-    void *out = *p;
-    *p += count * size;
-    return out;
-}
-
 /* One annealing chain, same contract and trajectory as the pure
  * anneal_chain.  variants holds n_var labelings of 2**n bytes each;
  * best_labels receives 2**n bytes and state_out the generator state
- * after the last draw.  Requires n <= ANNEAL_MAX_GROUND,
- * 2 <= k <= ANNEAL_MAX_K and 1 <= n_usable; returns -1 otherwise, or
- * when memory runs out. */
+ * after the last draw.  Requires n <= MAX_GROUND, 2 <= k <= ANNEAL_MAX_K
+ * and 1 <= n_usable; returns -1 otherwise, or when memory runs out. */
 int sperner_anneal_chain(int n, int k, int product, int n_usable,
                          const int *usable, int n_var, const uint8_t *variants,
                          uint64_t seed, int64_t steps, double t0, double alpha,
@@ -899,7 +892,7 @@ int sperner_anneal_chain(int n, int k, int product, int n_usable,
     size_t words, rows;
     int i;
     uint64_t state = seed;
-    if (n < 0 || n > ANNEAL_MAX_GROUND || k < 2 || k > ANNEAL_MAX_K
+    if (n < 0 || n > MAX_GROUND || k < 2 || k > ANNEAL_MAX_K
         || n_usable < 1 || n_usable > (1 << n) || n_var < 1)
         return -1;
     memset(&a, 0, sizeof(a));

@@ -6,10 +6,9 @@ heuristic runs one annealing chain per thread with seeds derived from the
 configured seed, so a fixed (seed, threads) pair reproduces exactly.
 
 One rule, in `_select`, picks the kernels for every search: the compiled
-ones when their library loads and n <= ANNEAL_MAX_GROUND, the pure ones
-otherwise.  Compiled chains release the interpreter lock and run on a
-thread pool; pure chains would only take turns on it, so they run one
-after another in seed order.
+ones whenever their library loads, the pure ones otherwise.  Compiled
+chains release the interpreter lock and run on a thread pool; pure chains
+would only take turns on it, so they run one after another in seed order.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from ..lattice import (
     is_cross_sperner,
 )
 from . import _kernels_py
-from ._clib import ANNEAL_MAX_GROUND
 from ._kernels_py import sm64_next
 
 try:
@@ -59,8 +57,8 @@ _ALPHA = 0.99993
 _RESTART = 10_000
 
 BACKEND: str = (_kernels or _kernels_py).BACKEND
-"""The kernels that serve grounds up to ANNEAL_MAX_GROUND: "compiled"
-when the library loads, else "pure"."""
+"""The kernels that serve every search: "compiled" when the library
+loads, else "pure"."""
 
 
 @dataclass(frozen=True)
@@ -122,13 +120,11 @@ def resolve_threads(explicit: int | None) -> int:
     return _DEFAULT_CHAINS if explicit is None else explicit
 
 
-def _select(n: int):
-    """The kernel module for a search on ground n, and whether its chains
-    may share a thread pool (only the compiled kernels release the
-    interpreter lock).  The compiled annealer packs a family into at most
-    64 machine words, hence the ground limit; exact search and tables are
-    gated below it."""
-    if _kernels is not None and n <= ANNEAL_MAX_GROUND:
+def _select():
+    """The kernel module for every search, and whether its chains may
+    share a thread pool (only the compiled kernels release the
+    interpreter lock)."""
+    if _kernels is not None:
         return _kernels, True
     return _kernels_py, False
 
@@ -183,7 +179,7 @@ def min_comparability_table(n: int) -> CompTable:
     ups = _upset_bits(n)
     usizes = [b.bit_count() for b in ups]
     downs = [_reflect_bits(b, total) for b in ups]
-    kern, _ = _select(n)
+    kern, _ = _select()
     best, bu, bd = kern.comp_scan(ups, usizes, downs, usizes, total)
     rows = []
     for m in range(1, total + 1):
@@ -306,7 +302,7 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
     fwd = _cmp_forward(masks)
     floor, floor_tuple = _best_construction(cfg.n, cfg.k, product)
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
-    kern, _ = _select(cfg.n)
+    kern, _ = _select()
     value, labels, nodes, completed = kern.exact_search(
         len(masks), cfg.k, product, masks, fwd, floor,
         cfg.target or 0, cfg.budget_nodes or 0, deadline,
@@ -395,7 +391,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
         state, z = sm64_next(state)
         seeds.append(z)
     stop = cfg.target or 0
-    kern, nogil = _select(cfg.n)
+    kern, nogil = _select()
 
     def run(chain_seed: int):
         return kern.anneal_chain(

@@ -12,6 +12,7 @@ import pytest
 
 from sperner.errors import GroundTooLarge
 from sperner.lattice import (
+    MAX_GROUND,
     FamilyTuple,
     comparability_number,
     comparable,
@@ -239,9 +240,12 @@ def test_exact_deadline_abort():
     assert res.witness is not None
 
 
-def test_pure_anneal_holds_time_budget():
-    # above n = 12 the pure annealer runs; one of its steps takes tens of
-    # milliseconds at n = 13, so the deadline is checked on every step
+def test_pure_anneal_holds_time_budget(monkeypatch):
+    # one step of the pure annealer takes tens of milliseconds at n = 13,
+    # so the deadline is checked on every step
+    from sperner.search import engine
+
+    monkeypatch.setattr(engine, "_kernels", None)
     start = time.monotonic()
     res = anneal_max_product(
         SearchConfig(13, 3, mode="heuristic", budget_secs=0.5, threads=1)
@@ -252,15 +256,15 @@ def test_pure_anneal_holds_time_budget():
 
 
 def test_compiled_anneal_holds_time_budget():
-    # n = 12 is the largest ground of the compiled annealer, 64 words a bitset
+    # at n = 14 a bitset takes 256 words; the deadline holds there too
     from sperner.search import engine
 
     start = time.monotonic()
     res = anneal_max_product(
-        SearchConfig(12, 3, mode="heuristic", budget_secs=0.5, threads=1)
+        SearchConfig(14, 3, mode="heuristic", budget_secs=0.5, threads=1)
     )
     assert time.monotonic() - start < 1.0
-    assert res.backend == engine._select(12)[0].BACKEND
+    assert res.backend == engine._select()[0].BACKEND
     assert is_cross_sperner(res.witness).ok
 
 
@@ -334,11 +338,11 @@ def test_anneal_thread_count_changes_exploration_not_validity():
 
 def test_pure_anneal_frozen_at_7_3(monkeypatch):
     # frozen on the pure kernels, whose chains run one after another; the
-    # compiled ones, which serve n = 7 when built, run them on a pool
+    # compiled ones, which serve every search when built, run them on a pool
     from sperner.search import engine
 
     cfg = SearchConfig(7, 3, mode="heuristic", seed=1, threads=2, budget_nodes=200)
-    for backend in (engine._select(7)[0].BACKEND, "pure"):
+    for backend in (engine._select()[0].BACKEND, "pure"):
         if backend == "pure":
             monkeypatch.setattr(engine, "_kernels", None)
         prod = anneal_max_product(cfg)
@@ -414,15 +418,14 @@ def test_resolve_threads_default():
     assert resolve_threads(None) == 4
 
 
-def test_kernel_selection_rule():
+def test_kernel_selection_rule(monkeypatch):
     from sperner.search import _kernels_py, engine
 
-    assert engine._select(13) == (_kernels_py, False)
-    compiled = engine._kernels
-    for n in range(1, 13):
-        want = (compiled, True) if compiled is not None else (_kernels_py, False)
-        assert engine._select(n) == want
-    assert BACKEND == engine._select(5)[0].BACKEND
+    assert BACKEND == engine._select()[0].BACKEND
+    if engine._kernels is not None:
+        assert engine._select() == (engine._kernels, True)
+    monkeypatch.setattr(engine, "_kernels", None)
+    assert engine._select() == (_kernels_py, False)
 
 
 def test_results_report_pure_without_the_library():
@@ -516,8 +519,9 @@ class TestBackendParity:
 
     def test_anneal_chain_identical(self):
         # the final generator state in each result shows any extra or
-        # missing draw; n = 7, 8, 10 and 12 take 2, 4, 16 and 64 words a
-        # bitset, and their short restart intervals bring in restarts
+        # missing draw; n = 7, 8, 10, 12, 13 and 14 take 2, 4, 16, 64, 128
+        # and 256 words a bitset, and their short restart intervals bring
+        # in restarts
         for n, k, product, seed, steps, restart in [
             (5, 3, True, 1, 3000, None),
             (5, 2, False, 9, 3000, None),
@@ -527,6 +531,8 @@ class TestBackendParity:
             (10, 5, False, 7, 180, 20),
             (12, 3, True, 4, 40, 8),
             (12, 2, False, 5, 30, 8),
+            (13, 4, False, 3, 20, 5),
+            (14, 3, True, 2, 12, 5),
         ]:
             args = _anneal_args(n, k, product, seed, steps, restart)
             assert self.pure.anneal_chain(*args) == self.fast.anneal_chain(*args)
@@ -538,8 +544,8 @@ CKERNELS_C = (Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def gcc_kernels(tmp_path_factory):
-    """ckernels.c compiled by gcc as strict C99 with warnings as errors,
-    bound the way the in-place build is bound."""
+    """ckernels.c compiled by gcc as strict C99 with -Wall and -Wextra
+    warnings as errors, bound the way the in-place build is bound."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
@@ -547,7 +553,7 @@ def gcc_kernels(tmp_path_factory):
 
     lib = tmp_path_factory.mktemp("ckernels") / "_ckernels.so"
     proc = subprocess.run(
-        [gcc, "-std=c99", "-Wall", "-Werror", "-O2", "-shared", "-fPIC",
+        [gcc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
          "-o", str(lib), str(CKERNELS_C), "-lm"],
         capture_output=True, text=True, timeout=120,
     )
@@ -634,15 +640,25 @@ class TestCompiledGuards:
                                      0, 0, 0, 0.0)
 
     def test_anneal_rejects_ground_above_limit(self, gcc_kernels):
-        n = gcc_kernels.ANNEAL_MAX_GROUND + 1
-        args = _anneal_args(n, 3, True, 1, 10)
-        with pytest.raises(ValueError, match="n <= 12"):
+        # built at a small ground, since no start exists above MAX_GROUND
+        args = list(_anneal_args(4, 3, True, 1, 10))
+        args[0] = MAX_GROUND + 1
+        with pytest.raises(ValueError, match="n <= 20"):
             gcc_kernels.anneal_chain(*args)
 
     def test_anneal_rejects_variant_of_wrong_length(self, gcc_kernels):
         args = list(_anneal_args(4, 3, True, 1, 10))
         args[4] = [args[4][0][:-1]]
         with pytest.raises(ValueError, match=r"2\*\*n = 16 labels"):
+            gcc_kernels.anneal_chain(*args)
+
+    @pytest.mark.parametrize("label", [4, 256, -1])
+    def test_anneal_rejects_label_out_of_range(self, gcc_kernels, label):
+        # above k, and outside a byte on either side, raise the same error
+        args = list(_anneal_args(4, 3, True, 1, 10))
+        args[4] = [list(v) for v in args[4]]
+        args[4][-1][5] = label
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.3"):
             gcc_kernels.anneal_chain(*args)
 
     def test_comp_scan_rejects_more_than_64_positions(self, gcc_kernels):
