@@ -8,6 +8,9 @@ separate threads run in parallel.
 
 C has no bounds checks, so every argument that sizes a buffer or indexes
 one is checked here first; a bad one raises ValueError before the call.
+Values are int64: counts, budgets and targets above MAX_VALUE are
+clamped to it, since ctypes would wrap them, and the annealer refuses the
+product measure where a product could pass it.
 Deadlines are passed as seconds left, so the library can measure them on
 its own monotonic clock.
 """
@@ -24,6 +27,7 @@ from ..lattice import MAX_GROUND
 _MAX_K = 255  # annealer labels are bytes
 _WORD = 64
 _MASK64 = (1 << 64) - 1
+MAX_VALUE = (1 << 63) - 1
 
 _SIGNATURES = {
     "sperner_sm64_next": (c_uint64, [POINTER(c_uint64)]),
@@ -57,6 +61,12 @@ def _array(ctype, values):
 def _within(values, bits: int) -> bool:
     """Every value is a non-negative integer below 2**bits."""
     return all(0 <= v and not v >> bits for v in values)
+
+
+def _int64(value: int) -> int:
+    """A count, budget or target clamped to MAX_VALUE, which no search
+    reaches; ctypes would wrap a larger one."""
+    return min(value, MAX_VALUE)
 
 
 def _time_left(deadline) -> tuple[int, float]:
@@ -123,8 +133,8 @@ class Library:
         timed, left = _time_left(deadline)
         rc = self._lib.sperner_exact_search(
             m_count, k, bool(product), _array(c_int64, masks),
-            _array(c_uint64, cmp_fwd), floor_value, target or 0,
-            node_budget or 0, timed, left,
+            _array(c_uint64, cmp_fwd), floor_value, _int64(target or 0),
+            _int64(node_budget or 0), timed, left,
             byref(best), labels, byref(nodes), byref(has_labels), byref(completed))
         if rc:
             raise MemoryError("exact_search ran out of memory")
@@ -135,7 +145,8 @@ class Library:
                      alpha, restart_interval, stop_value, deadline):
         """Same contract and trajectory as the pure version, final
         generator state included, on bitsets of max(1, 2**n / 64) words
-        for any n up to MAX_GROUND."""
+        for any n up to MAX_GROUND.  The product measure needs every
+        product of k counts summing to 2**n at most MAX_VALUE."""
         _check(0 <= n <= MAX_GROUND,
                f"compiled annealer is limited to n <= {MAX_GROUND}, got {n}")
         _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
@@ -162,9 +173,11 @@ class Library:
         rc = self._lib.sperner_anneal_chain(
             n, k, bool(product), len(masks), (c_int * len(masks)).from_buffer(masks),
             len(variants), (c_uint8 * len(flat)).from_buffer_copy(flat),
-            seed & _MASK64, steps, t0, alpha,
-            restart_interval, stop_value or 0, timed, left,
+            seed & _MASK64, _int64(steps), t0, alpha,
+            _int64(restart_interval), _int64(stop_value or 0), timed, left,
             byref(best), best_labels, byref(done), byref(state))
+        _check(rc != -2, f"compiled annealer needs products of k = {k} counts "
+                         f"summing to 2**{n} to stay at most {MAX_VALUE}")
         if rc:
             raise MemoryError("anneal_chain ran out of memory")
         return best.value, best_labels[:], done.value, state.value

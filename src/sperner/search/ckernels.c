@@ -8,7 +8,8 @@
  * every 4096 nodes, both annealers before every step.  The annealer
  * packs each family bitset into max(1, 2**n / 64) 64-bit words, so it
  * serves every ground up to the package-wide MAX_GROUND; a chain holds
- * 4(k + 1) + 7 such bitsets.
+ * 4(k + 1) + 7 such bitsets.  Its values are int64, so it takes the
+ * product measure only where no labeling's product reaches 2**63.
  *
  * _clib.py binds the exported sperner_* functions with ctypes and, before
  * each call, checks every argument that sizes or indexes a buffer; the
@@ -657,6 +658,46 @@ static void ann_remove(Ann *a, int m)
     reclose(a, j);
 }
 
+/* Whether every product of k counts summing to at most total fits in an
+ * int64.  The largest one splits total as evenly as it goes (AM-GM). */
+static int products_fit(int total, int k)
+{
+    int64_t v = 1, f;
+    int j;
+    for (j = 0; j < k; j++) {
+        f = total / k + (j < total % k);
+        if (f && v > INT64_MAX / f)
+            return 0;
+        v *= f;
+    }
+    return 1;
+}
+
+/* a / b rounded to the nearest double, ties to even, for 0 <= a < b <
+ * 2**63, as the pure kernels' division of Python ints rounds it;
+ * converting a and b to double first would round each above 2**53.
+ * Long division gives 53 quotient bits, a rounding bit and a remainder. */
+static double exact_ratio(uint64_t a, uint64_t b)
+{
+    uint64_t q = 0;
+    int e = 0, i;
+    if (!a)
+        return 0.0;
+    for (; 2 * a < b; e++) /* scale a / b into [1/2, 1) */
+        a <<= 1;
+    for (i = 0; i < 54; i++) {
+        a <<= 1;
+        q <<= 1;
+        if (a >= b) {
+            a -= b;
+            q |= 1;
+        }
+    }
+    if ((q & 1) && (a || (q & 2)))
+        q += 2;
+    return ldexp((double)(q >> 1), -53 - e);
+}
+
 static int64_t ann_value(const Ann *a)
 {
     int64_t v;
@@ -840,7 +881,7 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
             accept = nv >= cur;
             if (!accept) {
                 if (a->product)
-                    p = cur ? pow((double)nv / (double)cur, 1.0 / temp) : 0.0;
+                    p = cur ? pow(exact_ratio(nv, cur), 1.0 / temp) : 0.0;
                 else
                     p = exp(((double)nv - (double)cur) / temp);
                 accept = rand_unit(state) < p;
@@ -878,7 +919,8 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
  * anneal_chain.  variants holds n_var labelings of 2**n bytes each;
  * best_labels receives 2**n bytes and state_out the generator state
  * after the last draw.  Requires n <= MAX_GROUND, 2 <= k <= ANNEAL_MAX_K
- * and 1 <= n_usable; returns -1 otherwise, or when memory runs out. */
+ * and 1 <= n_usable; returns -1 otherwise, or when memory runs out.
+ * Returns -2 for the product measure where products_fit fails. */
 int sperner_anneal_chain(int n, int k, int product, int n_usable,
                          const int *usable, int n_var, const uint8_t *variants,
                          uint64_t seed, int64_t steps, double t0, double alpha,
@@ -895,6 +937,8 @@ int sperner_anneal_chain(int n, int k, int product, int n_usable,
     if (n < 0 || n > MAX_GROUND || k < 2 || k > ANNEAL_MAX_K
         || n_usable < 1 || n_usable > (1 << n) || n_var < 1)
         return -1;
+    if (product && !products_fit(1 << n, k))
+        return -2;
     memset(&a, 0, sizeof(a));
     a.n = n;
     a.k = k;

@@ -6,9 +6,11 @@ heuristic runs one annealing chain per thread with seeds derived from the
 configured seed, so a fixed (seed, threads) pair reproduces exactly.
 
 One rule, in `_select`, picks the kernels for every search: the compiled
-ones whenever their library loads, the pure ones otherwise.  Compiled
-chains release the interpreter lock and run on a thread pool; pure chains
-would only take turns on it, so they run one after another in seed order.
+ones whenever their library loads and their int64 values can hold every
+value the search may meet, the pure ones otherwise.  Only annealing the
+product measure at large k meets larger values.  Compiled chains release
+the interpreter lock and run on a thread pool; pure chains would only
+take turns on it, so they run one after another in seed order.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ _ALPHA = 0.99993
 _RESTART = 10_000
 
 BACKEND: str = (_kernels or _kernels_py).BACKEND
-"""The kernels that serve every search: "compiled" when the library
-loads, else "pure"."""
+"""The kernels that serve every search whose values fit in an int64:
+"compiled" when the library loads, else "pure"."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,22 @@ def resolve_threads(explicit: int | None) -> int:
     return _DEFAULT_CHAINS if explicit is None else explicit
 
 
-def _select():
-    """The kernel module for every search, and whether its chains may
-    share a thread pool (only the compiled kernels release the
-    interpreter lock)."""
-    if _kernels is not None:
+def _largest_value(n: int, k: int, product: bool) -> int:
+    """The largest measure any labeling of the 2**n masks with labels 0..k
+    can have: 2**n for the total size, and for the product the k counts
+    split as evenly as they go, by the AM-GM inequality."""
+    total = 1 << n
+    if not product:
+        return total
+    q, r = divmod(total, k)
+    return (q + 1) ** r * q ** (k - r)
+
+
+def _select(largest_value: int = 0):
+    """The kernel module for a search whose values stay at most
+    largest_value, and whether its chains may share a thread pool (only
+    the compiled kernels release the interpreter lock)."""
+    if _kernels is not None and largest_value <= _kernels.MAX_VALUE:
         return _kernels, True
     return _kernels_py, False
 
@@ -302,7 +315,7 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
     fwd = _cmp_forward(masks)
     floor, floor_tuple = _best_construction(cfg.n, cfg.k, product)
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
-    kern, _ = _select()
+    kern, _ = _select(_largest_value(cfg.n, cfg.k, product))
     value, labels, nodes, completed = kern.exact_search(
         len(masks), cfg.k, product, masks, fwd, floor,
         cfg.target or 0, cfg.budget_nodes or 0, deadline,
@@ -391,7 +404,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
         state, z = sm64_next(state)
         seeds.append(z)
     stop = cfg.target or 0
-    kern, nogil = _select()
+    kern, nogil = _select(_largest_value(cfg.n, cfg.k, product))
 
     def run(chain_seed: int):
         return kern.anneal_chain(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -424,8 +425,40 @@ def test_kernel_selection_rule(monkeypatch):
     assert BACKEND == engine._select()[0].BACKEND
     if engine._kernels is not None:
         assert engine._select() == (engine._kernels, True)
+        assert engine._select(2**63 - 1) == (engine._kernels, True)
+    # values past an int64 go to the pure kernels, built or not
+    assert engine._select(2**63) == (_kernels_py, False)
     monkeypatch.setattr(engine, "_kernels", None)
     assert engine._select() == (_kernels_py, False)
+
+
+def test_largest_value_bounds_every_labeling():
+    from itertools import product as labelings
+
+    from sperner.search.engine import _largest_value
+
+    for n, k in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)]:
+        sizes = [[lab.count(j) for j in range(1, k + 1)]
+                 for lab in labelings(range(k + 1), repeat=1 << n)]
+        assert _largest_value(n, k, False) == max(map(sum, sizes))
+        assert _largest_value(n, k, True) == max(map(prod, sizes))
+    # the product of (14, 7) passes an int64; those of (14, 5) and (20, 3) do not
+    assert _largest_value(14, 7, True) > 2**63 - 1
+    assert _largest_value(14, 5, True) <= 2**63 - 1
+    assert _largest_value(20, 3, True) <= 2**63 - 1
+
+
+def test_products_past_int64_anneal_on_pure_kernels():
+    # at (14, 7) the seeded product tuple alone has 729**7 > 2**63
+    res = anneal_max_product(
+        SearchConfig(14, 7, mode="heuristic", seed=1, threads=2, budget_nodes=2)
+    )
+    assert res.backend == "pure"
+    assert res.value == res.witness.product_size() >= 729**7
+    total = anneal_max_sum(
+        SearchConfig(14, 7, mode="heuristic", seed=1, threads=2, budget_nodes=2)
+    )
+    assert total.backend == BACKEND
 
 
 def test_results_report_pure_without_the_library():
@@ -521,7 +554,8 @@ class TestBackendParity:
         # the final generator state in each result shows any extra or
         # missing draw; n = 7, 8, 10, 12, 13 and 14 take 2, 4, 16, 64, 128
         # and 256 words a bitset, and their short restart intervals bring
-        # in restarts
+        # in restarts.  At (13, 6) products pass 2**53, where the
+        # acceptance ratio needs exact integer division.
         for n, k, product, seed, steps, restart in [
             (5, 3, True, 1, 3000, None),
             (5, 2, False, 9, 3000, None),
@@ -532,6 +566,7 @@ class TestBackendParity:
             (12, 3, True, 4, 40, 8),
             (12, 2, False, 5, 30, 8),
             (13, 4, False, 3, 20, 5),
+            (13, 6, True, 1, 12, 4),
             (14, 3, True, 2, 12, 5),
         ]:
             args = _anneal_args(n, k, product, seed, steps, restart)
@@ -559,6 +594,36 @@ def gcc_kernels(tmp_path_factory):
     )
     assert proc.returncode == 0, proc.stderr
     return Library(str(lib))
+
+
+def test_exact_ratio_rounds_as_int_division(tmp_path):
+    # above 2**53 products no longer convert to double exactly; the C
+    # acceptance ratio must still round as Python's int division does
+    import ctypes
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found")
+    probe = tmp_path / "probe.c"
+    probe.write_text(f'#include "{CKERNELS_C}"\n'
+                     "double probe(uint64_t a, uint64_t b) "
+                     "{ return exact_ratio(a, b); }\n")
+    lib = tmp_path / "probe.so"
+    subprocess.run([gcc, "-std=c99", "-O2", "-shared", "-fPIC", "-o", str(lib),
+                    str(probe), "-lm"], check=True, timeout=120)
+    ratio = ctypes.CDLL(str(lib)).probe
+    ratio.restype = ctypes.c_double
+    ratio.argtypes = [ctypes.c_uint64, ctypes.c_uint64]
+    rng = random.Random(3)
+    cases = [(0, 5), (1, 2**63 - 1), (2**63 - 2, 2**63 - 1)]
+    for _ in range(3000):
+        b = rng.randrange(2, 1 << rng.randint(2, 63))
+        cases.append((rng.randrange(b), b))
+        # a / 2**62 halfway between two doubles, and just off it
+        half = ((1 << 54) + 4 * rng.randrange(1 << 52) + 2) << 7
+        cases += [(half + d, 1 << 62) for d in (-1, 0, 1)]
+    for a, b in cases:
+        assert ratio(a, b) == a / b, (a, b)
 
 
 class TestGccKernelParity(TestBackendParity):
@@ -645,6 +710,29 @@ class TestCompiledGuards:
         args[0] = MAX_GROUND + 1
         with pytest.raises(ValueError, match="n <= 20"):
             gcc_kernels.anneal_chain(*args)
+
+    def test_anneal_rejects_products_past_int64(self, gcc_kernels):
+        # 256 masks in 16 families of 16 allow a product of 2**64
+        n, k = 8, 16
+        usable = list(range(1, (1 << n) - 1))
+        args = [n, k, True, usable, [[0] * (1 << n)], 1, 10, 0.35, 0.99, 5, 0, 0.0]
+        with pytest.raises(ValueError, match=r"at most 9223372036854775807"):
+            gcc_kernels.anneal_chain(*args)
+        args[2] = False  # the total size stays small
+        assert gcc_kernels.anneal_chain(*args)[2] == 10
+
+    def test_int64_arguments_are_clamped(self, gcc_kernels):
+        # ctypes would wrap 2**64 + 5 to 5, a target the chain passes at once
+        from sperner.search import _kernels_py
+
+        args = list(_anneal_args(5, 3, True, 1, 300))
+        args[10] = 2**64 + 5
+        fast = gcc_kernels.anneal_chain(*args)
+        assert fast == _kernels_py.anneal_chain(*args)
+        assert fast[2] == 300
+        args = list(_exact_args(4, 3, True))
+        args[6] = 2**64 + 5
+        assert gcc_kernels.exact_search(*args) == _kernels_py.exact_search(*args)
 
     def test_anneal_rejects_variant_of_wrong_length(self, gcc_kernels):
         args = list(_anneal_args(4, 3, True, 1, 10))
