@@ -162,15 +162,19 @@ def enumerate_upsets(n: int) -> list[Family]:
 def _upset_bits(n: int) -> list[int]:
     total = 1 << n
     order = sorted(range(total), key=lambda m: (-(m.bit_count()), m))
-    missing = [[m | (1 << b) for b in range(n) if not m >> b & 1] for m in order]
+    # the immediate supersets of each mask, as one bitset over masks
+    need = [sum(1 << (m | 1 << b) for b in range(n) if not m >> b & 1)
+            for m in order]
     out: list[int] = []
 
     def rec(i: int, bits: int) -> None:
-        if i == len(order):
+        # masks missing an immediate superset can only be left out
+        while i < total and bits & need[i] != need[i]:
+            i += 1
+        if i == total:
             out.append(bits)
             return
-        if all(bits >> s & 1 for s in missing[i]):
-            rec(i + 1, bits | (1 << order[i]))
+        rec(i + 1, bits | (1 << order[i]))
         rec(i + 1, bits)
 
     rec(0, 0)
@@ -178,22 +182,88 @@ def _upset_bits(n: int) -> list[int]:
 
 
 def _reflect_bits(bits: int, total: int) -> int:
-    # complementing every member turns an upset bitset into a downset one
-    return bits_of([total - 1 - p for p in bit_positions(bits)])
+    # complementing every member turns an upset bitset into a downset one;
+    # mask p becomes total - 1 - p, which reverses the total-bit string
+    return int(format(bits, f"0{total}b")[::-1], 2)
+
+
+def _heap_swaps(n: int) -> list[tuple[int, int]]:
+    """The n! - 1 transpositions (a, b), a < b, of Heap's algorithm:
+    applied one after another they visit every permutation of [n] once."""
+    swaps = []
+    c = [0] * n
+    i = 1
+    while i < n:
+        if c[i] < i:
+            swaps.append((0 if i % 2 == 0 else c[i], i))
+            c[i] += 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
+    return swaps
+
+
+def _orbit_firsts(ups: list[int], n: int) -> list[int]:
+    """The index of the first upset of each S_n orbit in ups, ascending.
+
+    Swapping elements a < b of the ground set exchanges mask m, which has
+    a and not b, with m + 2**b - 2**a, so it acts on a bitset over the
+    2**n masks as one delta swap.  Walking Heap's transpositions from a
+    new upset visits its whole orbit.
+    """
+    total = 1 << n
+    swaps = []
+    for a, b in _heap_swaps(n):
+        moved = bits_of([m for m in range(total) if m >> a & 1 and not m >> b & 1])
+        swaps.append((moved, (1 << b) - (1 << a)))
+    seen: set[int] = set()
+    firsts = []
+    for i, u in enumerate(ups):
+        if u in seen:
+            continue
+        firsts.append(i)
+        seen.add(u)
+        for moved, delta in swaps:
+            x = (u >> delta ^ u) & moved
+            u ^= x ^ x << delta
+            seen.add(u)
+    return firsts
 
 
 def min_comparability_table(n: int) -> CompTable:
     """Exact minimum comparability number for every family size m, with a
-    witness family attaining it and the root-style lower bound."""
+    witness family attaining it and the root-style lower bound.
+
+    A family of size m comparable to c sets has a convex hull U & D, U its
+    up-closure and D its down-closure, with |U| + |D| - |U & D| = c.  So
+    the minimum over intersection sizes t >= m of the best |U| + |D| - t
+    is c(m), and the first m members of the best hull are a witness.
+
+    The scan pairs only the first upset of each S_n orbit, in enumeration
+    order, with every downset; a permutation applied to both U and D keeps
+    |U|, |D| and |U & D|, so every value and every minimum is the same.
+    So is the recorded pair.  For each t the full scan records the
+    lexicographically first pair (i*, j*) of upset and downset indices
+    that reaches the minimum.  If a permutation s took an upset i0 < i*
+    to i*, the pair (i0, s^-1 D_j*) would reach the same t and value
+    earlier, a contradiction.  So i* is the first index of its orbit, and
+    the reduced scan, whose upsets keep their order, records it too.
+    """
     check_ground(n, minimum=1)
     if n > TABLE_MAX_GROUND:
         raise GroundTooLarge(f"comparability table supports n <= {TABLE_MAX_GROUND}")
     total = 1 << n
     ups = _upset_bits(n)
+    # found before the downsets are made, which reuse the memory of its seen set
+    firsts = _orbit_firsts(ups, n)
     usizes = [b.bit_count() for b in ups]
     downs = [_reflect_bits(b, total) for b in ups]
     kern, _ = _select()
-    best, bu, bd = kern.comp_scan(ups, usizes, downs, usizes, total)
+    best, bu, bd = kern.comp_scan([ups[i] for i in firsts],
+                                  [usizes[i] for i in firsts],
+                                  downs, usizes, total)
+    bu = [firsts[i] for i in bu]
     rows = []
     for m in range(1, total + 1):
         c = None

@@ -1,9 +1,14 @@
 """Definition-level reference implementations used to cross-check the
 package.  Everything here works on plain frozensets of integers and
-never touches the bitset code paths, so agreement is meaningful."""
+never touches the bitset code paths, so agreement is meaningful.  The
+exceptions are the order oracles at the end: the previous, slower
+implementations of engine helpers whose output order the comparability
+table's witness tie-breaks depend on."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
+
+from sperner.lattice import bit_positions, bits_of
 
 
 def subsets(n):
@@ -103,3 +108,46 @@ def count_upsets(n):
         ):
             count += 1
     return count
+
+
+def upset_bits_recursive(n):
+    """Upset bitsets in the engine's enumeration order: masks by
+    descending popcount, include branch first, a mask joining only when
+    all its immediate supersets are in."""
+    total = 1 << n
+    order = sorted(range(total), key=lambda m: (-(m.bit_count()), m))
+    missing = [[m | (1 << b) for b in range(n) if not m >> b & 1] for m in order]
+    out = []
+
+    def rec(i, bits):
+        if i == len(order):
+            out.append(bits)
+            return
+        if all(bits >> s & 1 for s in missing[i]):
+            rec(i + 1, bits | (1 << order[i]))
+        rec(i + 1, bits)
+
+    rec(0, 0)
+    return out
+
+
+def reflect_bits_by_positions(bits, total):
+    """The bitset whose members are total - 1 - p for each member p."""
+    return bits_of([total - 1 - p for p in bit_positions(bits)])
+
+
+def orbit_firsts_brute(ups, n):
+    """Indices, ascending, of the upsets in ups that come first among all
+    their images under permutations of the ground set."""
+    index = {u: i for i, u in enumerate(ups)}
+    firsts = set()
+    for u in ups:
+        members = [m for m in range(1 << n) if u >> m & 1]
+        images = []
+        for perm in permutations(range(n)):
+            image = 0
+            for m in members:
+                image |= 1 << sum(1 << perm[e] for e in range(n) if m >> e & 1)
+            images.append(index[image])
+        firsts.add(min(images))
+    return sorted(firsts)

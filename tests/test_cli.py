@@ -294,6 +294,25 @@ def test_table_output_bytes(capsys, argv, name, fmt):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+def test_table_comp_n2_5_bytes(capsys, monkeypatch, backend):
+    # the whole table, witnesses included, as frozen before the scan was
+    # reduced to one upset per S_n orbit
+    from sperner.search import engine
+
+    if backend == "compiled":
+        kernels = pytest.importorskip(
+            "sperner.search._kernels", reason="compiled backend not built",
+            exc_type=ImportError,
+        )
+    else:
+        kernels = None
+    monkeypatch.setattr(engine, "_kernels", kernels)
+    expected = (GOLDEN / "table_comp_n2_5.csv").read_bytes().decode("utf-8")
+    assert run("table", "comp", "--n", "2..5") == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_table_bounds_kind_matches_bounds_command(capsys):
     assert run("table", "bounds", "--n", "8..9", "--k", "2..3") == 0
     via_table = capsys.readouterr().out

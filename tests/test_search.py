@@ -29,13 +29,21 @@ from sperner.search import (
     exact_max_sum,
     min_comparability_table,
 )
-from sperner.search.engine import resolve_threads
+from sperner.search.engine import (
+    _orbit_firsts,
+    _reflect_bits,
+    _upset_bits,
+    resolve_threads,
+)
 
 from .oracles import (
     count_upsets,
     max_product_exact,
     max_sum_exact,
     min_comparability_exact,
+    orbit_firsts_brute,
+    reflect_bits_by_positions,
+    upset_bits_recursive,
 )
 
 DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -65,6 +73,38 @@ def test_enumerated_families_are_upsets_and_distinct():
 def test_upset_enumeration_gated():
     with pytest.raises(GroundTooLarge):
         enumerate_upsets(6)
+
+
+# the witness tie-breaks depend on the enumeration order, so the fast
+# helpers must give the old recursion's list in the old order
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_upset_bits_order_matches_recursive_oracle(n):
+    assert _upset_bits(n) == upset_bits_recursive(n)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_reflect_bits_matches_position_oracle(n):
+    total = 1 << n
+    for bits in _upset_bits(n):
+        assert _reflect_bits(bits, total) == reflect_bits_by_positions(bits, total)
+
+
+# S_n orbits of upsets
+
+A003182 = {1: 3, 2: 5, 3: 10, 4: 30, 5: 210}
+
+
+@pytest.mark.parametrize("n", sorted(A003182))
+def test_orbit_counts_match_known_sequence(n):
+    assert len(_orbit_firsts(_upset_bits(n), n)) == A003182[n]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_orbit_firsts_match_permutation_oracle(n):
+    ups = _upset_bits(n)
+    assert _orbit_firsts(ups, n) == orbit_firsts_brute(ups, n)
 
 
 # comparability tables
@@ -482,14 +522,17 @@ def test_results_report_pure_without_the_library():
 # backend parity
 
 
-def _comp_args(n):
-    from sperner.search.engine import _reflect_bits, _upset_bits
-
+def _comp_args(n, orbit_firsts=False):
+    # orbit_firsts passes the upsets the comparability table scans
     total = 1 << n
     ups = _upset_bits(n)
     usizes = [b.bit_count() for b in ups]
     downs = [_reflect_bits(b, total) for b in ups]
-    return ups, usizes, downs, usizes, total
+    if not orbit_firsts:
+        return ups, usizes, downs, usizes, total
+    firsts = _orbit_firsts(ups, n)
+    return ([ups[i] for i in firsts], [usizes[i] for i in firsts],
+            downs, usizes, total)
 
 
 def _exact_args(n, k, product):
@@ -541,8 +584,7 @@ class TestBackendParity:
                 assert (sp, vp) == (sf, vf)
 
     def test_comp_scan_identical(self):
-        for n in (3, 4):
-            args = _comp_args(n)
+        for args in (_comp_args(3), _comp_args(4), _comp_args(5, orbit_firsts=True)):
             assert self.pure.comp_scan(*args) == self.fast.comp_scan(*args)
 
     def test_exact_search_identical(self):
