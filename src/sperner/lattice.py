@@ -16,6 +16,8 @@ per family) the practical ceiling enforced below.
 bit_positions and bits_of are the one codec between bitsets and lists of
 bit positions (members or elements), linear in the bit length; peeling or
 OR-ing one bit at a time into a 2^n-bit family would be quadratic.
+_labels_of and _label_bits are the one codec between a tuple of disjoint
+families and its labeling, the 2^n bytes the search kernels work on.
 
 n = 0 is allowed and degenerates gracefully: the lattice is {empty set}.
 """
@@ -156,6 +158,27 @@ def bits_of(positions) -> int:
     for p in positions:
         digits[p] = 49  # ord("1")
     return int(digits[::-1], 2)
+
+
+def _labels_of(t: FamilyTuple) -> bytes:
+    """The labeling of a tuple of at most 255 disjoint families: byte m is
+    the 1-based family of mask m, 0 for none.  Each family's binary
+    digits, translated to labels, are read big-endian and OR-ed, so the
+    little-endian whole puts mask m at byte m."""
+    total = 1 << t.n
+    acc = 0
+    for j, fam in enumerate(t.families, start=1):
+        to_label = bytes.maketrans(b"01", bytes((0, j)))
+        digits = format(fam.members, f"0{total}b").encode().translate(to_label)
+        acc |= int.from_bytes(digits, "big")
+    return acc.to_bytes(total, "little")
+
+
+def _label_bits(labels, j: int) -> int:
+    """The bitset of the masks labeled j in a labeling (bytes or
+    bytearray); the inverse of _labels_of, one family at a time."""
+    to_digit = b"0" * j + b"1" + b"0" * (255 - j)
+    return int(labels.translate(to_digit)[::-1], 2)
 
 
 def _closure_bits(bits: int, n: int, direction: Direction) -> int:

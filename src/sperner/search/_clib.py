@@ -2,9 +2,9 @@
 
 `Library(path)` loads one built copy of the C library and exposes the
 kernel contract of `_kernels_py`: the same arguments, and results that
-compare `==`-equal, lists and tuples alike.  ctypes releases the
-interpreter lock for the length of each call, so annealing chains on
-separate threads run in parallel.
+compare `==`-equal, labelings returned as bytes like theirs.  ctypes
+releases the interpreter lock for the length of each call, so annealing
+chains on separate threads run in parallel.
 
 C has no bounds checks, so every argument that sizes a buffer or indexes
 one is checked here first; a bad one raises ValueError before the call.
@@ -138,8 +138,8 @@ class Library:
             byref(best), labels, byref(nodes), byref(has_labels), byref(completed))
         if rc:
             raise MemoryError("exact_search ran out of memory")
-        return (best.value, labels[:] if has_labels.value else None, nodes.value,
-                bool(completed.value))
+        return (best.value, bytes(labels) if has_labels.value else None,
+                nodes.value, bool(completed.value))
 
     def anneal_chain(self, n, k, product, usable, variants, seed, steps, t0,
                      alpha, restart_interval, stop_value, deadline):
@@ -163,7 +163,8 @@ class Library:
             flat = b"".join(map(bytes, variants))
         except ValueError:  # a label outside 0..255
             flat = None
-        _check(flat is not None and max(flat) <= k, f"annealer labels must lie in 0..{k}")
+        _check(flat is not None and not flat.translate(None, bytes(range(k + 1))),
+               f"annealer labels must lie in 0..{k}")  # none left once 0..k go
         masks = array("i", usable)
         best = c_int64()
         done = c_int64()
@@ -180,4 +181,4 @@ class Library:
                          f"summing to 2**{n} to stay at most {MAX_VALUE}")
         if rc:
             raise MemoryError("anneal_chain ran out of memory")
-        return best.value, best_labels[:], done.value, state.value
+        return best.value, bytes(best_labels), done.value, state.value

@@ -6,7 +6,7 @@ annealing chain.  The compiled module mirrors these semantics operation
 for operation (same RNG, same tie-breaks, same float expressions), so a
 given seed walks the same trajectory on either backend.  Both annealers
 look at the clock before every step, and both DFS kernels every 4096
-nodes.
+nodes.  On both backends a labeling is bytes, one label per mask.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import time
 
-from ..lattice import _comparable_bits, _positions_with_bit, bit_positions, bits_of
+from ..lattice import (_comparable_bits, _label_bits, _positions_with_bit,
+                       bit_positions, bits_of)
 
 BACKEND = "pure"
 
@@ -53,32 +54,18 @@ def _rand_unit(state: int) -> tuple[int, float]:
 def comp_scan(upsets, usizes, downsets, dsizes, total):
     """For each intersection size t, the minimum of |U| + |D| - t over all
     (upset, downset) pairs with |U & D| = t, plus the first pair in scan
-    order attaining that minimum.  Vectorized with numpy (bitwise_count
-    needs numpy >= 2.0); imported here so that importing the package
-    does not load numpy."""
-    import numpy as np
-
+    order attaining that minimum."""
+    best = [_INF] * (total + 1)
     bu = [-1] * (total + 1)
     bd = [-1] * (total + 1)
-    d_arr = np.asarray(downsets, dtype=np.uint64)
-    ds_arr = np.asarray(dsizes, dtype=np.int64)
-    best_a = np.full(total + 1, _INF, dtype=np.int64)
     for i, u in enumerate(upsets):
-        t = np.bitwise_count(np.uint64(u) & d_arr).astype(np.int64)
-        np.minimum.at(best_a, t, usizes[i] + ds_arr - t)
-    found = np.zeros(total + 1, dtype=bool)
-    for i, u in enumerate(upsets):
-        t = np.bitwise_count(np.uint64(u) & d_arr).astype(np.int64)
-        v = usizes[i] + ds_arr - t
-        hits = np.flatnonzero((v == best_a[t]) & ~found[t])
-        for j in hits:
-            tj = int(t[j])
-            if not found[tj]:
-                found[tj] = True
-                bu[tj], bd[tj] = i, int(j)
-        if found.all():
-            break
-    return best_a.tolist(), bu, bd
+        su = usizes[i]
+        for j, d in enumerate(downsets):
+            t = (u & d).bit_count()
+            v = su + dsizes[j] - t
+            if v < best[t]:
+                best[t], bu[t], bd[t] = v, i, j
+    return best, bu, bd
 
 
 # -- exact label-assignment DFS ---------------------------------------------
@@ -136,9 +123,10 @@ def exact_search(m_count, k, product, masks, cmp_fwd, floor_value,
     A positive target stops the search once best reaches it, giving up
     both optimality and the canonical-minimum guarantee.
 
-    Returns (best_value, best_labels or None, nodes, completed).
+    Returns (best_value, best_labels or None, nodes, completed), where
+    byte i of best_labels is the label of masks[i].
     """
-    labels = [0] * m_count
+    labels = bytearray(m_count)
     pins = [bytearray(m_count)]  # one scratch row per depth
     for _ in range(m_count):
         pins.append(bytearray(m_count))
@@ -171,12 +159,12 @@ def exact_search(m_count, k, product, masks, cmp_fwd, floor_value,
             else:
                 v = cur_sum
             if v > best:
-                best, best_labels = v, labels.copy()
+                best, best_labels = v, bytes(labels)
                 best_key = _canonical_key(labels, masks, k)
             elif v == best:
                 key = _canonical_key(labels, masks, k)
                 if best_key is None or key < best_key:
-                    best_labels, best_key = labels.copy(), key
+                    best_labels, best_key = bytes(labels), key
             return
         free_rem = 0
         pin_rem = 0
@@ -245,7 +233,7 @@ class _AnnealState:
         self.total = 1 << n
         self.universe = (1 << self.total) - 1
         self.hi = [_positions_with_bit(n, b) for b in range(n)]
-        self.labels = [0] * self.total
+        self.labels = bytearray(self.total)
         self.fams = [0] * (k + 1)
         self.near = [0] * (k + 1)  # masks comparable to a member of each family
         self.counts = [0] * (k + 1)
@@ -253,14 +241,10 @@ class _AnnealState:
         self.support_count = 0
 
     def load(self, labels):
-        self.labels = list(labels)
-        members = [[] for _ in range(self.k + 1)]
-        for m, lab in enumerate(labels):
-            if lab:
-                members[lab].append(m)
-        self.fams = [bits_of(ms) for ms in members]
-        self.counts = [len(ms) for ms in members]
-        self.support = bits_of(m for m, lab in enumerate(labels) if lab)
+        self.labels = bytearray(labels)
+        self.fams = [0] + [_label_bits(self.labels, j) for j in range(1, self.k + 1)]
+        self.counts = [f.bit_count() for f in self.fams]
+        self.support = sum(self.fams)  # disjoint, so the sum is the union
         self.support_count = self.support.bit_count()
         for j in range(1, self.k + 1):
             self._reclose(j)
@@ -345,7 +329,8 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
     add), greedily refill to a maximal labeling, and Metropolis-accept on
     the measure with geometric cooling.  Restarts cycle through the given
     construction variants.  Fully determined by the seed (wall-clock
-    deadline aside).
+    deadline aside).  Variants and best_labels are labelings: byte m is
+    the family of mask m.
 
     Returns (best_value, best_labels, steps_done, final_state), where
     final_state is the generator state after the chain's last draw, so a
@@ -380,7 +365,7 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
     state = fill(state)
     cur = st.value(product)
     best = cur
-    best_labels = st.labels.copy()
+    best_labels = bytes(st.labels)
     temp = t0
     last_improve = 0
     done = 0
@@ -468,7 +453,7 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
                 cur = new
                 if new > best:
                     best = new
-                    best_labels = st.labels.copy()
+                    best_labels = bytes(st.labels)
                     last_improve = step
                     if stop_value and best >= stop_value:
                         break

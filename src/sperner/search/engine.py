@@ -35,6 +35,8 @@ from ..errors import GroundTooLarge, InfeasibleParams, SpernerError
 from ..lattice import (
     Family,
     FamilyTuple,
+    _label_bits,
+    _labels_of,
     bit_positions,
     bits_of,
     check_ground,
@@ -342,13 +344,10 @@ def _best_construction(n: int, k: int, product: bool):
     return _measure(top, product), top
 
 
-def _tuple_from_order_labels(n, k, labels, masks) -> FamilyTuple:
-    # labels[i] in 1..k puts masks[i] into that family; 0 leaves it out
-    fams: list[list[int]] = [[] for _ in range(k)]
-    for i, lab in enumerate(labels):
-        if lab:
-            fams[lab - 1].append(masks[i])
-    return FamilyTuple(n, tuple(Family.from_masks(n, f) for f in fams))
+def _tuple_of(n: int, k: int, labels) -> FamilyTuple:
+    # byte m in 1..k puts mask m into that family; 0 leaves it out
+    return FamilyTuple(n, tuple(Family(n, _label_bits(labels, j))
+                                for j in range(1, k + 1)))
 
 
 def _check_config(cfg: SearchConfig, exact: bool) -> None:
@@ -357,6 +356,8 @@ def _check_config(cfg: SearchConfig, exact: bool) -> None:
         raise GroundTooLarge(f"exact search supports n <= {EXACT_MAX_GROUND}")
     if cfg.k < 2:
         raise InfeasibleParams("searches need k >= 2")
+    if not exact and cfg.k > 255:
+        raise InfeasibleParams("the annealer's byte labels need k <= 255")
     if cfg.threads is not None and cfg.threads < 1:
         raise InfeasibleParams(f"threads must be at least 1, got {cfg.threads}")
     if cfg.budget_nodes is not None and cfg.budget_nodes < 1:
@@ -385,13 +386,16 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
     fwd = _cmp_forward(masks)
     floor, floor_tuple = _best_construction(cfg.n, cfg.k, product)
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
-    kern, _ = _select(_largest_value(cfg.n, cfg.k, product))
+    kern, _ = _select()
     value, labels, nodes, completed = kern.exact_search(
         len(masks), cfg.k, product, masks, fwd, floor,
         cfg.target or 0, cfg.budget_nodes or 0, deadline,
     )
     if labels is not None:
-        witness = _tuple_from_order_labels(cfg.n, cfg.k, labels, masks)
+        full = bytearray(1 << cfg.n)
+        for m, lab in zip(masks, labels):
+            full[m] = lab
+        witness = _tuple_of(cfg.n, cfg.k, full)
     elif value == floor:
         witness = floor_tuple
     else:
@@ -418,15 +422,7 @@ def exact_max_sum(cfg: SearchConfig) -> SearchResult:
 # -- annealing ---------------------------------------------------------------
 
 
-def _labels_of(t: FamilyTuple, total: int) -> list[int]:
-    arr = [0] * total
-    for j, fam in enumerate(t.families, start=1):
-        for m in fam.masks():
-            arr[m] = j
-    return arr
-
-
-def _variants(n: int, k: int, product: bool, seed: int) -> list[list[int]]:
+def _variants(n: int, k: int, product: bool, seed: int) -> list[bytes]:
     cands = _constructions(n, k, product)
     try:
         blocks = ProductParams(n, k).block_sizes()
@@ -443,15 +439,7 @@ def _variants(n: int, k: int, product: bool, seed: int) -> list[list[int]]:
             cands += _built(
                 lambda segs=tuple(segs): build_product_tuple(ProductParams(n, k, segs))
             )
-    total = 1 << n
-    seen: set[tuple[int, ...]] = set()
-    out: list[list[int]] = []
-    for t in cands:
-        lab = _labels_of(t, total)
-        key = tuple(lab)
-        if key not in seen:
-            seen.add(key)
-            out.append(lab)
+    out = list(dict.fromkeys(_labels_of(t) for t in cands))
     if not out:
         raise InfeasibleParams(
             f"no feasible starting tuple for n={n}, k={k}"
@@ -492,7 +480,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
     steps_done = 0
     for value, labels, done, _ in outs:
         steps_done += done
-        cand = _tuple_from_order_labels(cfg.n, cfg.k, labels, range(total))
+        cand = _tuple_of(cfg.n, cfg.k, labels)
         if value > best_val or (
             value == best_val
             and cand.canonical_key() < best_tuple.canonical_key()

@@ -1,14 +1,14 @@
 """Definition-level reference implementations used to cross-check the
 package.  Everything here works on plain frozensets of integers and
 never touches the bitset code paths, so agreement is meaningful.  The
-exceptions are the order oracles at the end: the previous, slower
+exceptions are the oracles at the end: the previous, slower
 implementations of engine helpers whose output order the comparability
-table's witness tie-breaks depend on."""
+table's witness tie-breaks depend on, and of the labeling codec."""
 
 from itertools import combinations, permutations
 from math import prod
 
-from sperner.lattice import bit_positions, bits_of
+from sperner.lattice import Family, FamilyTuple, bit_positions, bits_of
 
 
 def subsets(n):
@@ -151,3 +151,23 @@ def orbit_firsts_brute(ups, n):
             images.append(index[image])
         firsts.add(min(images))
     return sorted(firsts)
+
+
+def labels_by_masks(t, total):
+    """The labeling of a tuple as a list: entry m is the 1-based index of
+    the family holding mask m, 0 for none."""
+    arr = [0] * total
+    for j, fam in enumerate(t.families, start=1):
+        for m in fam.masks():
+            arr[m] = j
+    return arr
+
+
+def tuple_from_order_labels(n, k, labels, masks):
+    """The k-tuple in which labels[i] in 1..k puts masks[i] into that
+    family; 0 leaves it out."""
+    fams = [[] for _ in range(k)]
+    for i, lab in enumerate(labels):
+        if lab:
+            fams[lab - 1].append(masks[i])
+    return FamilyTuple(n, tuple(Family.from_masks(n, f) for f in fams))

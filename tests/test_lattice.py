@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from sperner.errors import BadGround, EmptyFamily, NotMonotone
 from sperner.lattice import (
     MAX_GROUND,
+    _label_bits,
+    _labels_of,
     Family,
     FamilyTuple,
     bit_positions,
@@ -33,7 +35,9 @@ from .oracles import (
     comparable_sets,
     down_closure,
     is_antichain_sets,
+    labels_by_masks,
     subsets,
+    tuple_from_order_labels,
     up_closure,
 )
 
@@ -113,6 +117,25 @@ def test_codec_edges():
     assert bits_of(range(top)) == (1 << top) - 1
     with pytest.raises(ValueError):
         bits_of([-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 255), st.data())
+def test_labeling_codec_matches_oracles(n, k, data):
+    # a random labeling with a random share of unlabeled masks; its
+    # families are disjoint, as every labeling's are
+    total = 1 << n
+    raw = data.draw(st.binary(min_size=total, max_size=total))
+    empty = data.draw(st.integers(0, 256))
+    labels = bytes(0 if b < empty else 1 + b % k for b in raw)
+    t = tuple_from_order_labels(n, k, labels, range(total))
+    assert _labels_of(t) == bytes(labels_by_masks(t, total)) == labels
+    assert [_label_bits(labels, j) for j in range(1, k + 1)] == [
+        f.members for f in t.families]
+    assert _label_bits(bytearray(labels), k) == t.families[-1].members
+    round_trip = FamilyTuple(n, tuple(Family(n, _label_bits(labels, j))
+                                      for j in range(1, k + 1)))
+    assert round_trip == t and _labels_of(round_trip) == labels
 
 
 # closures

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from sperner.errors import GroundTooLarge
+from sperner.errors import GroundTooLarge, InfeasibleParams
 from sperner.lattice import (
     MAX_GROUND,
     FamilyTuple,
+    _label_bits,
+    _labels_of,
     comparability_number,
     comparable,
     is_cross_sperner,
@@ -38,11 +40,13 @@ from sperner.search.engine import (
 
 from .oracles import (
     count_upsets,
+    labels_by_masks,
     max_product_exact,
     max_sum_exact,
     min_comparability_exact,
     orbit_firsts_brute,
     reflect_bits_by_positions,
+    tuple_from_order_labels,
     upset_bits_recursive,
 )
 
@@ -309,10 +313,10 @@ def test_compiled_anneal_holds_time_budget():
     assert is_cross_sperner(res.witness).ok
 
 
-@pytest.mark.parametrize("n", [4, 7])
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads,n", [(1, 4), (1, 7), (2, 4), (2, 7), (1, 20)])
 def test_zero_seconds_runs_no_annealing_step(n, threads):
-    # the deadline is checked before each step, so no step runs or counts
+    # the deadline is checked before each step, so no step runs or counts;
+    # at n = 20 a bitset takes 16,384 words
     res = anneal_max_product(
         SearchConfig(n, 2, mode="heuristic", budget_secs=0.0, threads=threads)
     )
@@ -440,6 +444,31 @@ def test_anneal_starts_wherever_the_exact_floor_exists():
     )
     assert res.value == exact.value
     assert res.witness.sum_size() == res.value
+
+
+@pytest.mark.parametrize("product", [True, False])
+@pytest.mark.parametrize("n,k", [(5, 3), (10, 3), (14, 7)])
+def test_restart_pool_labelings_match_codec_oracles(n, k, product):
+    from sperner.search.engine import _variants
+
+    total = 1 << n
+    starts = _variants(n, k, product, 1)
+    assert len(set(starts)) == len(starts)
+    for labels in starts:
+        t = tuple_from_order_labels(n, k, labels, range(total))
+        assert is_cross_sperner(t).ok
+        assert _labels_of(t) == bytes(labels_by_masks(t, total)) == labels
+        assert [_label_bits(labels, j) for j in range(1, k + 1)] == [
+            f.members for f in t.families]
+
+
+def test_anneal_refuses_labels_past_a_byte():
+    # a labeling holds one byte a mask, so 255 families at most
+    with pytest.raises(InfeasibleParams, match="need k <= 255"):
+        anneal_max_sum(SearchConfig(12, 256, mode="heuristic", threads=1))
+    res = anneal_max_sum(SearchConfig(12, 255, mode="heuristic", threads=1,
+                                      budget_nodes=1))
+    assert res.witness.k == 255 and is_cross_sperner(res.witness).ok
 
 
 def test_anneal_never_reports_invalid_tuple():
