@@ -8,9 +8,9 @@ chains on separate threads run in parallel.
 
 C has no bounds checks, so every argument that sizes a buffer or indexes
 one is checked here first; a bad one raises ValueError before the call.
-Values are int64: counts, budgets and targets above MAX_VALUE are
-clamped to it, since ctypes would wrap them, and the annealer refuses the
-product measure where a product could pass it.
+Counts, budgets and exact-search values are int64, clamped to _INT64_MAX,
+since ctypes would wrap them; annealer values cross as _VALUE_LIMBS
+32-bit limbs, wide enough for every product of its counts.
 Deadlines are passed as seconds left, so the library can measure them on
 its own monotonic clock.
 """
@@ -20,14 +20,15 @@ from __future__ import annotations
 import ctypes
 import time
 from array import array
-from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint8, c_uint64
+from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint8, c_uint32, c_uint64
 
 from ..lattice import MAX_GROUND
 
 _MAX_K = 255  # annealer labels are bytes
 _WORD = 64
 _MASK64 = (1 << 64) - 1
-MAX_VALUE = (1 << 63) - 1
+_INT64_MAX = (1 << 63) - 1
+_VALUE_LIMBS = 160  # ckernels.c VALUE_LIMBS
 
 _SIGNATURES = {
     "sperner_sm64_next": (c_uint64, [POINTER(c_uint64)]),
@@ -42,8 +43,8 @@ _SIGNATURES = {
         POINTER(c_int), POINTER(c_int)]),
     "sperner_anneal_chain": (c_int, [
         c_int, c_int, c_int, c_int, POINTER(c_int), c_int, POINTER(c_uint8),
-        c_uint64, c_int64, c_double, c_double, c_int64, c_int64, c_int,
-        c_double, POINTER(c_int64), POINTER(c_uint8), POINTER(c_int64),
+        c_uint64, c_int64, c_double, c_double, c_int64, POINTER(c_uint32), c_int,
+        c_double, POINTER(c_uint32), POINTER(c_uint8), POINTER(c_int64),
         POINTER(c_uint64)]),
 }
 
@@ -64,9 +65,9 @@ def _within(values, bits: int) -> bool:
 
 
 def _int64(value: int) -> int:
-    """A count, budget or target clamped to MAX_VALUE, which no search
+    """A count, budget or target clamped to _INT64_MAX, which no search
     reaches; ctypes would wrap a larger one."""
-    return min(value, MAX_VALUE)
+    return min(value, _INT64_MAX)
 
 
 def _time_left(deadline) -> tuple[int, float]:
@@ -145,8 +146,7 @@ class Library:
                      alpha, restart_interval, stop_value, deadline):
         """Same contract and trajectory as the pure version, final
         generator state included, on bitsets of max(1, 2**n / 64) words
-        for any n up to MAX_GROUND.  The product measure needs every
-        product of k counts summing to 2**n at most MAX_VALUE."""
+        for any n up to MAX_GROUND, with exact values for both measures."""
         _check(0 <= n <= MAX_GROUND,
                f"compiled annealer is limited to n <= {MAX_GROUND}, got {n}")
         _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
@@ -165,8 +165,13 @@ class Library:
             flat = None
         _check(flat is not None and not flat.translate(None, bytes(range(k + 1))),
                f"annealer labels must lie in 0..{k}")  # none left once 0..k go
+        # limbs least significant first; no product reaches the clamp
+        stop = min(stop_value or 0, (1 << 32 * _VALUE_LIMBS) - 1)
+        _check(stop >= 0, "annealer stop value must be >= 0")
+        stop_limbs = (c_uint32 * _VALUE_LIMBS)(
+            *(stop >> 32 * i & 0xFFFFFFFF for i in range(_VALUE_LIMBS)))
         masks = array("i", usable)
-        best = c_int64()
+        best = (c_uint32 * _VALUE_LIMBS)()
         done = c_int64()
         state = c_uint64()
         best_labels = (c_uint8 * total)()
@@ -175,10 +180,9 @@ class Library:
             n, k, bool(product), len(masks), (c_int * len(masks)).from_buffer(masks),
             len(variants), (c_uint8 * len(flat)).from_buffer_copy(flat),
             seed & _MASK64, _int64(steps), t0, alpha,
-            _int64(restart_interval), _int64(stop_value or 0), timed, left,
-            byref(best), best_labels, byref(done), byref(state))
-        _check(rc != -2, f"compiled annealer needs products of k = {k} counts "
-                         f"summing to 2**{n} to stay at most {MAX_VALUE}")
+            _int64(restart_interval), stop_limbs, timed, left,
+            best, best_labels, byref(done), byref(state))
         if rc:
             raise MemoryError("anneal_chain ran out of memory")
-        return best.value, bytes(best_labels), done.value, state.value
+        value = sum(limb << 32 * i for i, limb in enumerate(best))
+        return value, bytes(best_labels), done.value, state.value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
-from ._clib import MAX_VALUE, Library
+from ._clib import Library
 
 
 def _library_path() -> str:

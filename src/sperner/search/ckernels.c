@@ -8,8 +8,9 @@
  * every 4096 nodes, both annealers before every step.  The annealer
  * packs each family bitset into max(1, 2**n / 64) 64-bit words, so it
  * serves every ground up to the package-wide MAX_GROUND; a chain holds
- * 4(k + 1) + 7 such bitsets.  Its values are int64, so it takes the
- * product measure only where no labeling's product reaches 2**63.
+ * 4(k + 1) + 7 such bitsets.  Its values are exact unsigned integers in
+ * VALUE_LIMBS 32-bit limbs, wide enough for every product of up to
+ * ANNEAL_MAX_K counts, so it takes both measures at every (n, k).
  *
  * _clib.py binds the exported sperner_* functions with ctypes and, before
  * each call, checks every argument that sizes or indexes a buffer; the
@@ -30,6 +31,9 @@
 
 #define MAX_GROUND 20 /* lattice.MAX_GROUND */
 #define ANNEAL_MAX_K 255 /* labels are bytes */
+/* counts stay below 2**MAX_GROUND, so a product of ANNEAL_MAX_K of them
+ * stays below 2**5100: 160 limbs of 32 bits */
+#define VALUE_LIMBS 160
 #define FREE 0
 #define DEAD 255
 
@@ -658,56 +662,94 @@ static void ann_remove(Ann *a, int m)
     reclose(a, j);
 }
 
-/* Whether every product of k counts summing to at most total fits in an
- * int64.  The largest one splits total as evenly as it goes (AM-GM). */
-static int products_fit(int total, int k)
-{
-    int64_t v = 1, f;
-    int j;
-    for (j = 0; j < k; j++) {
-        f = total / k + (j < total % k);
-        if (f && v > INT64_MAX / f)
-            return 0;
-        v *= f;
-    }
-    return 1;
-}
+/* A value in 32-bit limbs, least significant first.  Only the len limbs
+ * in use are read; the top one is non-zero, except in 0, whose len is 1. */
+typedef struct {
+    int len;
+    uint32_t limb[VALUE_LIMBS];
+} Value;
 
-/* a / b rounded to the nearest double, ties to even, for 0 <= a < b <
- * 2**63, as the pure kernels' division of Python ints rounds it;
- * converting a and b to double first would round each above 2**53.
- * Long division gives 53 quotient bits, a rounding bit and a remainder. */
-static double exact_ratio(uint64_t a, uint64_t b)
+/* v = the product of the k counts, or the support count for sums */
+static void ann_value(const Ann *a, Value *v)
 {
-    uint64_t q = 0;
-    int e = 0, i;
-    if (!a)
-        return 0.0;
-    for (; 2 * a < b; e++) /* scale a / b into [1/2, 1) */
-        a <<= 1;
-    for (i = 0; i < 54; i++) {
-        a <<= 1;
-        q <<= 1;
-        if (a >= b) {
-            a -= b;
-            q |= 1;
+    uint64_t carry;
+    int i, j;
+    v->len = 1;
+    v->limb[0] = a->product ? 1 : (uint32_t)a->cur.support_count;
+    for (j = 1; a->product && j <= a->k; j++) {
+        carry = 0;
+        for (i = 0; i < v->len; i++) {
+            carry += (uint64_t)v->limb[i] * (uint64_t)a->cur.counts[j];
+            v->limb[i] = (uint32_t)carry;
+            carry >>= 32;
         }
+        if (carry)
+            v->limb[v->len++] = (uint32_t)carry;
+        else if (!v->limb[v->len - 1]) /* a count of 0 */
+            v->len = 1;
     }
-    if ((q & 1) && (a || (q & 2)))
-        q += 2;
-    return ldexp((double)(q >> 1), -53 - e);
 }
 
-static int64_t ann_value(const Ann *a)
+/* -1, 0 or 1 as x is below, equal to or above y */
+static int value_cmp(const Value *x, const Value *y)
 {
-    int64_t v;
-    int j;
-    if (!a->product)
-        return a->cur.support_count;
-    v = 1;
-    for (j = 1; j <= a->k; j++)
-        v *= a->cur.counts[j];
-    return v;
+    int i = x->len;
+    if (x->len != y->len)
+        return x->len < y->len ? -1 : 1;
+    while (i-- > 0)
+        if (x->limb[i] != y->limb[i])
+            return x->limb[i] < y->limb[i] ? -1 : 1;
+    return 0;
+}
+
+/* a / b rounded to the nearest double, ties to even, for 0 <= a < b, as
+ * the pure kernels' division of Python ints rounds it.  One-limb values
+ * convert to double exactly, and IEEE division rounds their quotient so;
+ * wider ones would each round above 2**53.  For those, long division gives
+ * the quotient's e leading zero bits, then its significant bits (53, or
+ * fewer where the quotient is subnormal), a rounding bit and a remainder.
+ * A quotient below 2**-1075 rounds to 0. */
+static double exact_ratio(const Value *a, const Value *b)
+{
+    uint32_t r[VALUE_LIMBS + 1]; /* the remainder, below 2b */
+    uint64_t q = 0, diff;
+    uint32_t carry, top;
+    int len = b->len + 1, e = 0, p = 53, got = 0, i, ge, sticky = 0;
+    if (b->len == 1)
+        return (double)a->limb[0] / (double)b->limb[0];
+    memcpy(r, a->limb, a->len * sizeof(uint32_t));
+    memset(r + a->len, 0, (len - a->len) * sizeof(uint32_t));
+    while (got <= p) {
+        for (carry = 0, i = 0; i < len; i++) { /* r *= 2 */
+            top = r[i] >> 31;
+            r[i] = r[i] << 1 | carry;
+            carry = top;
+        }
+        ge = r[len - 1] != 0; /* r >= b */
+        for (i = b->len - 1; !ge && i >= 0 && r[i] == b->limb[i]; i--)
+            ;
+        ge = ge || i < 0 || r[i] > b->limb[i];
+        if (ge) { /* r -= b */
+            for (carry = 0, i = 0; i < len; i++) {
+                diff = (uint64_t)r[i] - (i < b->len ? b->limb[i] : 0) - carry;
+                r[i] = (uint32_t)diff;
+                carry = (uint32_t)(diff >> 63);
+            }
+        } else if (!q) { /* a leading zero */
+            if (++e == 1075)
+                return 0.0;
+            if (1074 - e < p)
+                p = 1074 - e;
+            continue;
+        }
+        q = q << 1 | (uint64_t)ge;
+        got++;
+    }
+    for (i = 0; i < len; i++)
+        sticky |= r[i] != 0;
+    if ((q & 1) && (sticky || (q & 2)))
+        q += 2;
+    return ldexp((double)(q >> 1), -p - e);
 }
 
 /* a->comp = the comparability component of m inside the support */
@@ -777,18 +819,20 @@ static int support_member(const Ann *a, uint64_t *state)
     return nth_member(a->cur.support, rand_below(state, a->cur.support_count));
 }
 
+/* stop, if not 0, ends the chain once best reaches it */
 static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *state,
                        int64_t steps, double t0, double alpha,
-                       int64_t restart_interval, int64_t stop_value,
-                       double deadline, int64_t *best_out, uint8_t *best_labels)
+                       int64_t restart_interval, const Value *stop,
+                       double deadline, Value *best, uint8_t *best_labels)
 {
-    int64_t cur, best, nv, step, done = 0, last_improve = 0;
+    Value values[2], *cur = values, *nv = values + 1, *swap;
+    int64_t step, done = 0, last_improve = 0;
     double temp = t0, r, u, p_ruin, p;
     int variant_idx = 0, m, j, jj, w, own, cnt, moved, accept;
     ann_load(a, variants);
     fill(a, state);
-    cur = ann_value(a);
-    best = cur;
+    ann_value(a, cur);
+    *best = *cur;
     memcpy(best_labels, a->cur.labels, a->total);
     for (step = 0; step < steps; step++) {
         if (deadline && mono() > deadline)
@@ -877,22 +921,26 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
         }
         if (moved) {
             fill(a, state);
-            nv = ann_value(a);
-            accept = nv >= cur;
+            ann_value(a, nv);
+            accept = value_cmp(nv, cur) >= 0;
             if (!accept) {
-                if (a->product)
-                    p = cur ? pow(exact_ratio(nv, cur), 1.0 / temp) : 0.0;
+                if (!a->product) /* a sum fits one limb */
+                    p = exp(((double)nv->limb[0] - (double)cur->limb[0]) / temp);
+                else if (cur->limb[cur->len - 1])
+                    p = pow(exact_ratio(nv, cur), 1.0 / temp);
                 else
-                    p = exp(((double)nv - (double)cur) / temp);
+                    p = 0.0;
                 accept = rand_unit(state) < p;
             }
             if (accept) {
+                swap = cur;
                 cur = nv;
-                if (nv > best) {
-                    best = nv;
+                nv = swap;
+                if (value_cmp(cur, best) > 0) {
+                    *best = *cur;
                     memcpy(best_labels, a->cur.labels, a->total);
                     last_improve = step;
-                    if (stop_value && best >= stop_value)
+                    if (stop->limb[stop->len - 1] && value_cmp(best, stop) >= 0)
                         break;
                 }
             } else {
@@ -906,30 +954,31 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
             variant_idx++;
             ann_load(a, variants + (size_t)(variant_idx % n_var) * a->total);
             fill(a, state);
-            cur = ann_value(a);
+            ann_value(a, cur);
             temp = t0;
             last_improve = step;
         }
     }
-    *best_out = best;
     return done;
 }
 
 /* One annealing chain, same contract and trajectory as the pure
  * anneal_chain.  variants holds n_var labelings of 2**n bytes each;
- * best_labels receives 2**n bytes and state_out the generator state
- * after the last draw.  Requires n <= MAX_GROUND, 2 <= k <= ANNEAL_MAX_K
- * and 1 <= n_usable; returns -1 otherwise, or when memory runs out.
- * Returns -2 for the product measure where products_fit fails. */
+ * stop_value and best_out hold VALUE_LIMBS limbs each, least significant
+ * first, and a stop value of 0 means none; best_labels receives 2**n
+ * bytes and state_out the generator state after the last draw.  Requires
+ * n <= MAX_GROUND, 2 <= k <= ANNEAL_MAX_K and 1 <= n_usable; returns -1
+ * otherwise, or when memory runs out. */
 int sperner_anneal_chain(int n, int k, int product, int n_usable,
                          const int *usable, int n_var, const uint8_t *variants,
                          uint64_t seed, int64_t steps, double t0, double alpha,
-                         int64_t restart_interval, int64_t stop_value, int timed,
-                         double time_left, int64_t *best_out,
+                         int64_t restart_interval, const uint32_t *stop_value,
+                         int timed, double time_left, uint32_t *best_out,
                          uint8_t *best_labels, int64_t *done_out,
                          uint64_t *state_out)
 {
     Ann a;
+    Value stop, best;
     char *block, *p;
     size_t words, rows;
     int i;
@@ -937,8 +986,6 @@ int sperner_anneal_chain(int n, int k, int product, int n_usable,
     if (n < 0 || n > MAX_GROUND || k < 2 || k > ANNEAL_MAX_K
         || n_usable < 1 || n_usable > (1 << n) || n_var < 1)
         return -1;
-    if (product && !products_fit(1 << n, k))
-        return -2;
     memset(&a, 0, sizeof(a));
     a.n = n;
     a.k = k;
@@ -977,10 +1024,15 @@ int sperner_anneal_chain(int n, int k, int product, int n_usable,
     a.snap.labels = carve(&p, a.total, 1);
     for (i = 0; i < n_usable; i++)
         set_bit(a.usable_bits, usable[i]);
+    memcpy(stop.limb, stop_value, sizeof(stop.limb));
+    for (stop.len = VALUE_LIMBS; stop.len > 1 && !stop.limb[stop.len - 1]; stop.len--)
+        ;
     *done_out = ann_run(&a, variants, n_var, &state, steps, t0, alpha,
-                        restart_interval, stop_value, deadline_of(timed, time_left),
-                        best_out, best_labels);
+                        restart_interval, &stop, deadline_of(timed, time_left),
+                        &best, best_labels);
     *state_out = state;
+    memset(best_out, 0, sizeof(best.limb));
+    memcpy(best_out, best.limb, best.len * sizeof(uint32_t));
     free(block);
     return 0;
 }

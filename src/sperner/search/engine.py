@@ -6,11 +6,10 @@ heuristic runs one annealing chain per thread with seeds derived from the
 configured seed, so a fixed (seed, threads) pair reproduces exactly.
 
 One rule, in `_select`, picks the kernels for every search: the compiled
-ones whenever their library loads and their int64 values can hold every
-value the search may meet, the pure ones otherwise.  Only annealing the
-product measure at large k meets larger values.  Compiled chains release
-the interpreter lock and run on a thread pool; pure chains would only
-take turns on it, so they run one after another in seed order.
+ones whenever their library loads, the pure ones otherwise.  Compiled
+chains release the interpreter lock and run on a thread pool; pure
+chains would only take turns on it, so they run one after another in
+seed order.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ _ALPHA = 0.99993
 _RESTART = 10_000
 
 BACKEND: str = (_kernels or _kernels_py).BACKEND
-"""The kernels that serve every search whose values fit in an int64:
-"compiled" when the library loads, else "pure"."""
+"""The kernels that serve every search: "compiled" when the library
+loads, else "pure"."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class SearchConfig:
     on it); it must be at least 1, and None means 4.  Compiled chains run
     on a thread pool, pure chains one after another, with the same
     result for a given (seed, threads).  target stops a search early once
-    the value is reached.
+    the value is reached; it must be at least 1, and None means no target.
     """
 
     n: int
@@ -124,22 +123,11 @@ def resolve_threads(explicit: int | None) -> int:
     return _DEFAULT_CHAINS if explicit is None else explicit
 
 
-def _largest_value(n: int, k: int, product: bool) -> int:
-    """The largest measure any labeling of the 2**n masks with labels 0..k
-    can have: 2**n for the total size, and for the product the k counts
-    split as evenly as they go, by the AM-GM inequality."""
-    total = 1 << n
-    if not product:
-        return total
-    q, r = divmod(total, k)
-    return (q + 1) ** r * q ** (k - r)
-
-
-def _select(largest_value: int = 0):
-    """The kernel module for a search whose values stay at most
-    largest_value, and whether its chains may share a thread pool (only
-    the compiled kernels release the interpreter lock)."""
-    if _kernels is not None and largest_value <= _kernels.MAX_VALUE:
+def _select():
+    """The kernel module for every search, compiled whenever its library
+    loads, and whether its chains may share a thread pool (only the
+    compiled kernels release the interpreter lock)."""
+    if _kernels is not None:
         return _kernels, True
     return _kernels_py, False
 
@@ -364,6 +352,8 @@ def _check_config(cfg: SearchConfig, exact: bool) -> None:
         raise InfeasibleParams(
             f"budget_nodes must be at least 1, got {cfg.budget_nodes}"
         )
+    if cfg.target is not None and cfg.target < 1:
+        raise InfeasibleParams(f"target must be at least 1, got {cfg.target}")
     if cfg.budget_secs is not None and not cfg.budget_secs >= 0:
         raise InfeasibleParams(
             f"budget_secs must be a number >= 0, got {cfg.budget_secs}"
@@ -462,7 +452,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
         state, z = sm64_next(state)
         seeds.append(z)
     stop = cfg.target or 0
-    kern, nogil = _select(_largest_value(cfg.n, cfg.k, product))
+    kern, nogil = _select()
 
     def run(chain_seed: int):
         return kern.anneal_chain(

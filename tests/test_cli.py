@@ -194,6 +194,16 @@ def test_search_rejects_bad_budgets(capsys, mode, budget):
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("target", ["0", "-5"])
+def test_search_rejects_target_below_one(capsys, mode, target):
+    # to the kernels a target of 0 means none and a negative one is met
+    # at once, so neither is a real target
+    assert run("search", "pi", "--n", "4", "--k", "3", "--mode", mode,
+               f"--target={target}") == 2
+    assert "target must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
 def test_search_rejects_zero_threads(capsys, mode):
     assert run("search", "pi", "--n", "5", "--k", "3", "--mode", mode,
                "--threads", "0") == 2

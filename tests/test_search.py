@@ -6,7 +6,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -494,35 +493,16 @@ def test_kernel_selection_rule(monkeypatch):
     assert BACKEND == engine._select()[0].BACKEND
     if engine._kernels is not None:
         assert engine._select() == (engine._kernels, True)
-        assert engine._select(2**63 - 1) == (engine._kernels, True)
-    # values past an int64 go to the pure kernels, built or not
-    assert engine._select(2**63) == (_kernels_py, False)
     monkeypatch.setattr(engine, "_kernels", None)
     assert engine._select() == (_kernels_py, False)
 
 
-def test_largest_value_bounds_every_labeling():
-    from itertools import product as labelings
-
-    from sperner.search.engine import _largest_value
-
-    for n, k in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)]:
-        sizes = [[lab.count(j) for j in range(1, k + 1)]
-                 for lab in labelings(range(k + 1), repeat=1 << n)]
-        assert _largest_value(n, k, False) == max(map(sum, sizes))
-        assert _largest_value(n, k, True) == max(map(prod, sizes))
-    # the product of (14, 7) passes an int64; those of (14, 5) and (20, 3) do not
-    assert _largest_value(14, 7, True) > 2**63 - 1
-    assert _largest_value(14, 5, True) <= 2**63 - 1
-    assert _largest_value(20, 3, True) <= 2**63 - 1
-
-
-def test_products_past_int64_anneal_on_pure_kernels():
+def test_products_past_int64_anneal_compiled():
     # at (14, 7) the seeded product tuple alone has 729**7 > 2**63
     res = anneal_max_product(
         SearchConfig(14, 7, mode="heuristic", seed=1, threads=2, budget_nodes=2)
     )
-    assert res.backend == "pure"
+    assert res.backend == BACKEND
     assert res.value == res.witness.product_size() >= 729**7
     total = anneal_max_sum(
         SearchConfig(14, 7, mode="heuristic", seed=1, threads=2, budget_nodes=2)
@@ -626,7 +606,9 @@ class TestBackendParity:
         # missing draw; n = 7, 8, 10, 12, 13 and 14 take 2, 4, 16, 64, 128
         # and 256 words a bitset, and their short restart intervals bring
         # in restarts.  At (13, 6) products pass 2**53, where the
-        # acceptance ratio needs exact integer division.
+        # acceptance ratio needs exact integer division.  At (12, 7),
+        # (14, 7) and (8, 16), where 16 families of 16 allow 2**64, a
+        # product may pass 2**63; at (14, 7) the start does, with 729**7.
         for n, k, product, seed, steps, restart in [
             (5, 3, True, 1, 3000, None),
             (5, 2, False, 9, 3000, None),
@@ -639,9 +621,24 @@ class TestBackendParity:
             (13, 4, False, 3, 20, 5),
             (13, 6, True, 1, 12, 4),
             (14, 3, True, 2, 12, 5),
+            (12, 7, True, 1, 20, 6),
+            (14, 7, True, 1, 8, 3),
+            (8, 16, True, 1, 400, 30),
         ]:
             args = _anneal_args(n, k, product, seed, steps, restart)
             assert self.pure.anneal_chain(*args) == self.fast.anneal_chain(*args)
+
+    def test_anneal_stops_at_target_past_int64(self):
+        # at (12, 10) seed 1 the chain starts near 2**29 and its best passes
+        # 2**70 at step 9; a target there stops both kernels at that step,
+        # and one just above the best value does not
+        args = list(_anneal_args(12, 10, True, 1, 30, 5))
+        best = 1169721326592000000000
+        for stop, done in [(2**64, 9), (best, 9), (best + 1, 30)]:
+            args[10] = stop
+            out = self.pure.anneal_chain(*args)
+            assert out[::2] == (best, done)
+            assert self.fast.anneal_chain(*args) == out
 
 
 CKERNELS_C = (Path(__file__).resolve().parents[1]
@@ -659,8 +656,8 @@ def gcc_kernels(tmp_path_factory):
 
     lib = tmp_path_factory.mktemp("ckernels") / "_ckernels.so"
     proc = subprocess.run(
-        [gcc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
-         "-o", str(lib), str(CKERNELS_C), "-lm"],
+        [gcc, "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2",
+         "-shared", "-fPIC", "-o", str(lib), str(CKERNELS_C), "-lm"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -669,7 +666,8 @@ def gcc_kernels(tmp_path_factory):
 
 def test_exact_ratio_rounds_as_int_division(tmp_path):
     # above 2**53 products no longer convert to double exactly; the C
-    # acceptance ratio must still round as Python's int division does
+    # acceptance ratio must still round as Python's int division does, at
+    # every width up to 5100 bits and down to quotients that round to 0
     import ctypes
 
     gcc = shutil.which("gcc")
@@ -677,24 +675,60 @@ def test_exact_ratio_rounds_as_int_division(tmp_path):
         pytest.skip("gcc not found")
     probe = tmp_path / "probe.c"
     probe.write_text(f'#include "{CKERNELS_C}"\n'
-                     "double probe(uint64_t a, uint64_t b) "
-                     "{ return exact_ratio(a, b); }\n")
+                     "double probe(const uint32_t *a, int na, const uint32_t *b, int nb)\n"
+                     "{\n"
+                     "    Value x, y;\n"
+                     "    x.len = na;\n"
+                     "    y.len = nb;\n"
+                     "    memcpy(x.limb, a, na * sizeof(uint32_t));\n"
+                     "    memcpy(y.limb, b, nb * sizeof(uint32_t));\n"
+                     "    return exact_ratio(&x, &y);\n"
+                     "}\n")
     lib = tmp_path / "probe.so"
     subprocess.run([gcc, "-std=c99", "-O2", "-shared", "-fPIC", "-o", str(lib),
                     str(probe), "-lm"], check=True, timeout=120)
-    ratio = ctypes.CDLL(str(lib)).probe
-    ratio.restype = ctypes.c_double
-    ratio.argtypes = [ctypes.c_uint64, ctypes.c_uint64]
+    probe_fn = ctypes.CDLL(str(lib)).probe
+    probe_fn.restype = ctypes.c_double
+
+    def limbs(v):
+        count = max(1, -(-v.bit_length() // 32))
+        return (ctypes.c_uint32 * count)(
+            *(v >> 32 * i & 0xFFFFFFFF for i in range(count))), count
+
+    def ratio(a, b):
+        return probe_fn(*limbs(a), *limbs(b))
+
     rng = random.Random(3)
-    cases = [(0, 5), (1, 2**63 - 1), (2**63 - 2, 2**63 - 1)]
+    cases = [(0, 5), (1, 2**63 - 1), (2**63 - 2, 2**63 - 1), (1, (1 << 5099) + 1)]
+    # 2**-1075 exactly rounds to 0 and just above it to 2**-1074;
+    # 3 * 2**-1076 and 3 * 2**-1075 round to the nearest and the even subnormal
+    cases += [(1, 1 << 1075), (1, (1 << 1075) - 1), (3, 1 << 1076), (3, 1 << 1075),
+              ((1 << 4000) + 1, 1 << 5075)]
     for _ in range(3000):
         b = rng.randrange(2, 1 << rng.randint(2, 63))
         cases.append((rng.randrange(b), b))
         # a / 2**62 halfway between two doubles, and just off it
         half = ((1 << 54) + 4 * rng.randrange(1 << 52) + 2) << 7
         cases += [(half + d, 1 << 62) for d in (-1, 0, 1)]
-    for a, b in cases:
-        assert ratio(a, b) == a / b, (a, b)
+    for _ in range(500):
+        # operands of up to 5100 bits, quotients of any size
+        b = rng.randrange(2, 1 << rng.randint(2, 5100))
+        cases.append((rng.randrange(1, 1 << rng.randint(1, b.bit_length())) % b, b))
+        # a quotient halfway between two doubles, and just off it, over an
+        # odd factor of up to 5000 bits
+        odd = rng.randrange(1 << rng.randint(0, 5000)) | 1
+        half = 2 * ((1 << 52) + rng.randrange(1 << 52)) + 1
+        cases += [(half * odd + d, odd << 54 + rng.randint(0, 40)) for d in (-1, 0, 1)]
+        # quotients near and below 2**-1022: subnormal, or rounding to 0
+        a = rng.randrange(1, 1 << rng.randint(1, 4000))
+        cases.append((a, (a << rng.randint(1015, 1080)) + rng.randint(-3, 3)))
+    # the kernel's precondition, and the width of its limbs
+    assert all(0 <= a < b < 2**5100 for a, b in cases)
+    results = [(ratio(a, b), a / b) for a, b in cases]
+    assert all(got == want for got, want in results), next(
+        (case, got, want) for case, (got, want) in zip(cases, results) if got != want)
+    assert any(0 < want < 2.0**-1022 for _, want in results)
+    assert any(want == 0 for (a, _), (_, want) in zip(cases, results) if a)
 
 
 class TestGccKernelParity(TestBackendParity):
@@ -713,7 +747,7 @@ class TestGccKernelParity(TestBackendParity):
 # the best labels, final generator state) of one chain.  Both kernels must
 # give these, so a drift they share still shows.  At (6, 3) seed 5 a restart
 # finds 810, which the same chain without restarts misses; at (10, 3) seed 3
-# one finds 150**3.
+# one finds 150**3, and at (12, 10) seed 1 the best value passes 2**70.
 RESTART_FREEZE = [
     ((6, 3, True, 1, 3000, 300),
      (729, 3000, "a68a4494fba2d27f8087d48160101d8294e8a1cafdb8147b076118d584b8cbef",
@@ -727,6 +761,10 @@ RESTART_FREEZE = [
     ((10, 3, True, 3, 200, 30),
      (3375000, 200, "50d2e292d01fd56733c3172d16e507131118dbe31b577d6d6909e2b55753f218",
       6016740024150326668)),
+    ((12, 10, True, 1, 30, 5),
+     (1169721326592000000000, 30,
+      "2a6fdf636db5c9f09d7f6a4ca7059670615cf419346483b1c9130f9c2ed4f089",
+      7104935123700740693)),
 ]
 
 
@@ -782,28 +820,27 @@ class TestCompiledGuards:
         with pytest.raises(ValueError, match="n <= 20"):
             gcc_kernels.anneal_chain(*args)
 
-    def test_anneal_rejects_products_past_int64(self, gcc_kernels):
-        # 256 masks in 16 families of 16 allow a product of 2**64
-        n, k = 8, 16
-        usable = list(range(1, (1 << n) - 1))
-        args = [n, k, True, usable, [[0] * (1 << n)], 1, 10, 0.35, 0.99, 5, 0, 0.0]
-        with pytest.raises(ValueError, match=r"at most 9223372036854775807"):
-            gcc_kernels.anneal_chain(*args)
-        args[2] = False  # the total size stays small
-        assert gcc_kernels.anneal_chain(*args)[2] == 10
-
     def test_int64_arguments_are_clamped(self, gcc_kernels):
-        # ctypes would wrap 2**64 + 5 to 5, a target the chain passes at once
+        # ctypes would wrap 2**64 + 5 to 5, a target the chain passes at
+        # once; a stop value past the annealer's limbs is clamped to them
         from sperner.search import _kernels_py
 
         args = list(_anneal_args(5, 3, True, 1, 300))
-        args[10] = 2**64 + 5
-        fast = gcc_kernels.anneal_chain(*args)
-        assert fast == _kernels_py.anneal_chain(*args)
-        assert fast[2] == 300
+        for stop in (2**64 + 5, 2**6000):
+            args[10] = stop
+            fast = gcc_kernels.anneal_chain(*args)
+            assert fast == _kernels_py.anneal_chain(*args)
+            assert fast[2] == 300
         args = list(_exact_args(4, 3, True))
         args[6] = 2**64 + 5
         assert gcc_kernels.exact_search(*args) == _kernels_py.exact_search(*args)
+
+    def test_anneal_rejects_negative_stop_value(self, gcc_kernels):
+        # the stop value crosses as unsigned limbs
+        args = list(_anneal_args(4, 3, True, 1, 10))
+        args[10] = -5
+        with pytest.raises(ValueError, match="stop value must be >= 0"):
+            gcc_kernels.anneal_chain(*args)
 
     def test_anneal_rejects_variant_of_wrong_length(self, gcc_kernels):
         args = list(_anneal_args(4, 3, True, 1, 10))
