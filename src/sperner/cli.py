@@ -43,8 +43,9 @@ from .search import (
     resolve_threads,
 )
 from .witness import (
+    _witness_chunks,
     check_witness,
-    dumps_witness,
+    dumps_witness,  # noqa: F401  perfbench/spans.py traces it by this name
     parse_witness,
     witness_payload,
     write_witness,
@@ -85,10 +86,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_witness(payload: dict, out: Optional[str], note: str = "") -> None:
-    """The witness file on stdout for None or "-"; otherwise streamed to
+    """The witness file streamed to stdout for None or "-"; otherwise to
     out, followed by a "wrote" line."""
     if out is None or out == "-":
-        sys.stdout.write(dumps_witness(payload))
+        sys.stdout.writelines(_witness_chunks(payload))
     else:
         write_witness(out, payload)
         print(f"wrote {out}{note}")

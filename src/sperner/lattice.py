@@ -99,9 +99,9 @@ class Family:
     def from_masks(cls, n: int, masks) -> "Family":
         masks = list(masks)
         top = 1 << n
-        for m in masks:
-            if not 0 <= m < top:
-                raise BadGround(f"mask {m} outside the n={n} lattice")
+        if masks and not (0 <= min(masks) and max(masks) < top):
+            m = next(m for m in masks if not 0 <= m < top)
+            raise BadGround(f"mask {m} outside the n={n} lattice")
         return cls(n, bits_of(masks))
 
     @cached_property
@@ -150,8 +150,10 @@ def bits_of(positions) -> int:
     ValueError, as a negative shift does.
 
     Writes binary digits, least significant first, into a bytearray and
-    parses them once; int() reads base 2 in linear time."""
-    positions = list(positions)
+    parses them once; int() reads base 2 in linear time.  A list is read
+    in place, any other iterable copied once."""
+    if not isinstance(positions, list):
+        positions = list(positions)
     if min(positions, default=0) < 0:
         raise ValueError(f"negative bit position {min(positions)}")
     digits = bytearray(b"0") * (max(positions, default=0) + 1)

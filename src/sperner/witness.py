@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import WitnessFormatError
 from .lattice import MAX_GROUND, Family, FamilyTuple, bits_of, is_cross_sperner
@@ -63,17 +63,47 @@ def witness_payload(
 # the canonical format: sorted keys, two-space indent, trailing newline
 _JSON_FORMAT = {"sort_keys": True, "indent": 2}
 
+# masks per chunk of a family; bounds the memory of a write
+_BLOCK = 4096
+# the top-level key at two-space indent: a JSON string holds no raw
+# newline and nested keys sit deeper, so this text occurs once
+_FAMILIES_KEY = '\n  "families": '
+_MASK_SEP = ",\n      "
+
+
+def _witness_chunks(payload: dict[str, Any]) -> Iterator[str]:
+    """The canonical text in pieces, the one serializer: json.dumps for
+    every key but families, then each family joined in C one block of
+    masks at a time.  The pieces concatenate to
+    json.dumps(payload, sort_keys=True, indent=2) + "\n"."""
+    text = json.dumps({**payload, "families": None}, **_JSON_FORMAT)
+    head, _, tail = text.partition(_FAMILIES_KEY + "null")
+    families = payload["families"]
+    yield head + _FAMILIES_KEY + ("[" if families else "[]")
+    lead = "\n    "
+    for fam in families:
+        if not fam:
+            yield lead + "[]"
+        else:
+            sep = lead + "[\n      "
+            for start in range(0, len(fam), _BLOCK):
+                yield sep + _MASK_SEP.join(map(str, fam[start:start + _BLOCK]))
+                sep = _MASK_SEP
+            yield "\n    ]"
+        lead = ",\n    "
+    yield ("\n  ]" if families else "") + tail + "\n"
+
 
 def dumps_witness(payload: dict[str, Any]) -> str:
     """Canonical serialization: byte-stable across dump/load/dump."""
-    return json.dumps(payload, **_JSON_FORMAT) + "\n"
+    return "".join(_witness_chunks(payload))
 
 
 def write_witness(path: str, payload: dict[str, Any]) -> None:
-    """Stream the bytes of dumps_witness to path, never holding the text."""
+    """Stream the bytes of dumps_witness to path, one block of masks at
+    a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, **_JSON_FORMAT)
-        fh.write("\n")
+        fh.writelines(_witness_chunks(payload))
 
 
 def _fail(msg: str) -> None:
@@ -141,17 +171,29 @@ def parse_witness(text: str) -> dict[str, Any]:
     if len(families) != k:
         _fail(f"families has {len(families)} entries, expected k={k}")
 
+    top = (1 << n) - 1
     norm: list[list[int]] = []
     for i, fam in enumerate(families):
         if not isinstance(fam, list) or not fam:
             _fail(f"family {i} must be a non-empty list")
+        # the whole family at C speed; the walk below only runs to name
+        # the first offender when one of these fails
+        if (
+            encoding == "mask"
+            and set(map(type, fam)) == {int}
+            and 0 < min(fam)
+            and max(fam) < top
+            and bits_of(fam).bit_count() == len(fam)
+        ):
+            norm.append(sorted(fam))
+            continue
         masks: list[int] = []
         for item in fam:
             if encoding == "mask":
                 m = _check_int(item, f"mask in family {i}")
             else:
                 m = _mask_from_elements(item, n, f"set in family {i}")
-            if not 0 < m < (1 << n) - 1:
+            if not 0 < m < top:
                 _fail(
                     f"mask {m} in family {i} is not a proper non-empty "
                     f"subset of [{n}]"

@@ -74,6 +74,21 @@ def test_mask_rejects_out_of_range():
         mask_from_elements([0], 3)
 
 
+@pytest.mark.parametrize(
+    "masks,bad",
+    [([1, 8, -1], 8), ([1, -1, 8], -1), ([7, 9000], 9000), (iter([2, 3, 8]), 8)],
+)
+def test_from_masks_names_the_first_mask_outside(masks, bad):
+    with pytest.raises(BadGround) as e:
+        Family.from_masks(3, masks)
+    assert str(e.value) == f"mask {bad} outside the n=3 lattice"
+
+
+def test_from_masks_accepts_any_iterable():
+    assert Family.from_masks(3, iter([0, 7, 7])).members == 0b10000001
+    assert Family.from_masks(3, []).members == 0
+
+
 def test_max_ground_enforced():
     with pytest.raises(BadGround):
         Family(MAX_GROUND + 1, 1)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from sperner.cli import _emit_witness
+
 from sperner.constructions import (
     ProductParams,
     SumParams,
@@ -12,6 +14,7 @@ from sperner.constructions import (
 )
 from sperner.errors import WitnessFormatError
 from sperner.witness import (
+    _BLOCK,
     check_witness,
     dumps_witness,
     load_witness,
@@ -68,6 +71,64 @@ def test_written_file_bytes_are_canonical(tmp_path):
     assert hashlib.sha256(data).hexdigest() == (
         "173f324698c893e02a0c6aea5bd7e9bfcc642e3ab0a1b0967d2631894f0ee850"
     )
+
+
+def _reference(p):
+    # the canonical bytes as the json module writes them
+    return json.dumps(p, sort_keys=True, indent=2) + "\n"
+
+
+def _synthetic(families, **extra):
+    p = {
+        "schema_version": 1,
+        "n": 20,
+        "k": len(families),
+        "encoding": "mask",
+        "families": families,
+        "measures": {"sum": 3, "product": 2**70 + 1},
+        "created": "2026-01-01T00:00:00Z",
+    }
+    p.update(extra)
+    return p
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+def test_dumps_matches_json_across_block_edges(size):
+    p = _synthetic([list(range(1, size + 1)), [7], list(range(3, 3 * size, 3))])
+    assert dumps_witness(p) == _reference(p)
+
+
+@pytest.mark.parametrize(
+    "families,extra",
+    [
+        ([], {}),
+        ([[]], {}),
+        ([[1, 2], [], [5]], {}),
+        (
+            [[3], [4]],
+            {"provenance": {"families": [[1, 2], []], "builder": "x",
+                            "parameters": {"families": None, "k": [2, 3]}}},
+        ),
+        ([[3], [4]], {"provenance": {}}),
+    ],
+)
+def test_dumps_matches_json_on_edge_payloads(families, extra):
+    p = _synthetic(families, **extra)
+    assert dumps_witness(p) == _reference(p)
+
+
+def test_file_dumps_and_stdout_agree(tmp_path, capsys):
+    t = build_sum_tuple(SumParams(14, 2))
+    p = witness_payload(t, provenance={"builder": "sum"},
+                        created="2026-01-01T00:00:00Z")
+    text = dumps_witness(p)
+    assert text == _reference(p)
+    path = tmp_path / "w.json"
+    write_witness(str(path), p)
+    assert path.read_bytes() == text.encode("utf-8")
+    for out in (None, "-"):
+        _emit_witness(p, out)
+        assert capsys.readouterr().out == text
 
 
 def test_tuple_round_trip(payload):
@@ -143,6 +204,43 @@ def test_parse_rejects_malformed(mutate, hint):
     mutate(doc)
     with pytest.raises(WitnessFormatError, match=hint):
         parse_witness(json.dumps(doc))
+
+
+def _large(bad):
+    # n = 14, family 1 holds 12,000 masks with one bad entry in the middle
+    fam = list(range(1, 12_001))
+    fam[6_000] = bad
+    doc = _base()
+    doc.update(n=14, families=[[16_000], fam])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (0, "mask 0 in family 1 is not a proper non-empty subset of [14]"),
+        (2**14 - 1,
+         "mask 16383 in family 1 is not a proper non-empty subset of [14]"),
+        (2**14, "mask 16384 in family 1 is not a proper non-empty subset of [14]"),
+        (-3, "mask -3 in family 1 is not a proper non-empty subset of [14]"),
+        (True, "mask in family 1 must be an integer, got True"),
+        (1.0, "mask in family 1 must be an integer, got 1.0"),
+        ("5", "mask in family 1 must be an integer, got '5'"),
+        (None, "mask in family 1 must be an integer, got None"),
+        (17, "family 1 repeats a set"),
+    ],
+)
+def test_bulk_parse_names_the_offender(bad, message):
+    with pytest.raises(WitnessFormatError) as e:
+        parse_witness(_large(bad))
+    assert str(e.value) == message
+
+
+def test_bulk_parse_sorts_a_reversed_family():
+    doc = _base()
+    doc.update(n=14, families=[list(range(12_000, 0, -1)), [16_000]])
+    p = parse_witness(json.dumps(doc))
+    assert p["families"] == [list(range(1, 12_001)), [16_000]]
 
 
 def test_parse_rejects_non_json():
