@@ -1,10 +1,12 @@
 """ctypes bindings of the compiled search kernels (ckernels.c).
 
-`Library(path)` loads one built copy of the C library and exposes the
-kernel contract of `_kernels_py`: the same arguments, and results that
-compare `==`-equal, labelings returned as bytes like theirs.  ctypes
-releases the interpreter lock for the length of each call, so annealing
-chains on separate threads run in parallel.
+`Library(path)` loads one built copy of the C library, which exports
+three functions, one per kernel, and exposes the kernel contract of
+`_kernels_py`: the same arguments, and results that compare `==`-equal,
+labelings returned as bytes like theirs.  The annealer places the proper
+masks of its ground, 1..2**n - 2, as the pure one does.  ctypes releases
+the interpreter lock for the length of each call, so annealing chains on
+separate threads run in parallel.
 
 C has no bounds checks, so every argument that sizes a buffer or indexes
 one is checked here first; a bad one raises ValueError before the call.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import ctypes
 import time
-from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint8, c_uint32, c_uint64
 
 from ..lattice import MAX_GROUND
@@ -31,7 +32,6 @@ _INT64_MAX = (1 << 63) - 1
 _VALUE_LIMBS = 160  # ckernels.c VALUE_LIMBS
 
 _SIGNATURES = {
-    "sperner_sm64_next": (c_uint64, [POINTER(c_uint64)]),
     "sperner_comp_scan": (None, [
         c_int64, POINTER(c_uint64), POINTER(c_int64),
         c_int64, POINTER(c_uint64), POINTER(c_int64), c_int,
@@ -42,10 +42,9 @@ _SIGNATURES = {
         POINTER(c_int64), POINTER(c_uint8), POINTER(c_int64),
         POINTER(c_int), POINTER(c_int)]),
     "sperner_anneal_chain": (c_int, [
-        c_int, c_int, c_int, c_int, POINTER(c_int), c_int, POINTER(c_uint8),
-        c_uint64, c_int64, c_double, c_double, c_int64, POINTER(c_uint32), c_int,
-        c_double, POINTER(c_uint32), POINTER(c_uint8), POINTER(c_int64),
-        POINTER(c_uint64)]),
+        c_int, c_int, c_int, c_int, POINTER(c_uint8), c_uint64, c_int64,
+        c_double, c_double, c_int64, POINTER(c_uint32), c_int, c_double,
+        POINTER(c_uint32), POINTER(c_uint8), POINTER(c_int64), POINTER(c_uint64)]),
 }
 
 
@@ -92,13 +91,6 @@ class Library:
             fns[name].argtypes = argtypes
         self._lib = lib
 
-    def sm64_next(self, state):
-        """One generator step, exposed so the backends can be diffed draw
-        by draw.  Returns (new_state, value)."""
-        s = c_uint64(state & _MASK64)
-        z = self._lib.sperner_sm64_next(byref(s))
-        return s.value, z
-
     def comp_scan(self, upsets, usizes, downsets, dsizes, total):
         """Same contract as the pure version: per intersection size t, the
         minimum |U| + |D| - t and the first pair in scan order attaining it."""
@@ -116,14 +108,15 @@ class Library:
             total, best, bu, bd)
         return best[:], bu[:], bd[:]
 
-    def exact_search(self, m_count, k, product, masks, cmp_fwd, floor_value,
-                     target, node_budget, deadline):
+    def exact_search(self, k, product, masks, cmp_fwd, floor_value, target,
+                     node_budget, deadline):
         """Same contract as the pure version; see there for the search story."""
-        _check(0 <= m_count <= _WORD,
+        m_count = len(masks)
+        _check(m_count <= _WORD,
                f"exact_search needs m_count <= {_WORD}, got {m_count}")
         _check(k >= 1, f"exact_search needs k >= 1, got {k}")
-        _check(len(masks) == m_count and len(cmp_fwd) == m_count,
-               "exact_search needs one mask and one comparability row per index")
+        _check(len(cmp_fwd) == m_count,
+               "exact_search needs one comparability row per mask")
         _check(_within(cmp_fwd, m_count),
                f"exact_search comparability rows must lie below bit {m_count}")
         best = c_int64()
@@ -142,17 +135,16 @@ class Library:
         return (best.value, bytes(labels) if has_labels.value else None,
                 nodes.value, bool(completed.value))
 
-    def anneal_chain(self, n, k, product, usable, variants, seed, steps, t0,
-                     alpha, restart_interval, stop_value, deadline):
+    def anneal_chain(self, n, k, product, variants, seed, steps, t0, alpha,
+                     restart_interval, stop_value, deadline):
         """Same contract and trajectory as the pure version, final
         generator state included, on bitsets of max(1, 2**n / 64) words
-        for any n up to MAX_GROUND, with exact values for both measures."""
-        _check(0 <= n <= MAX_GROUND,
-               f"compiled annealer is limited to n <= {MAX_GROUND}, got {n}")
+        for any n from 2 up to MAX_GROUND, with exact values for both
+        measures."""
+        _check(2 <= n <= MAX_GROUND,
+               f"compiled annealer needs 2 <= n <= {MAX_GROUND}, got {n}")
         _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
         total = 1 << n
-        _check(1 <= len(usable) <= total and _within(usable, n),
-               f"annealer usable masks must be 1 to {total} masks below {total}")
         _check(len(variants) >= 1, "annealer needs at least one starting labeling")
         for labels in variants:
             _check(len(labels) == total,
@@ -170,15 +162,14 @@ class Library:
         _check(stop >= 0, "annealer stop value must be >= 0")
         stop_limbs = (c_uint32 * _VALUE_LIMBS)(
             *(stop >> 32 * i & 0xFFFFFFFF for i in range(_VALUE_LIMBS)))
-        masks = array("i", usable)
         best = (c_uint32 * _VALUE_LIMBS)()
         done = c_int64()
         state = c_uint64()
         best_labels = (c_uint8 * total)()
         timed, left = _time_left(deadline)
         rc = self._lib.sperner_anneal_chain(
-            n, k, bool(product), len(masks), (c_int * len(masks)).from_buffer(masks),
-            len(variants), (c_uint8 * len(flat)).from_buffer_copy(flat),
+            n, k, bool(product), len(variants),
+            (c_uint8 * len(flat)).from_buffer_copy(flat),
             seed & _MASK64, _int64(steps), t0, alpha,
             _int64(restart_interval), stop_limbs, timed, left,
             best, best_labels, byref(done), byref(state))

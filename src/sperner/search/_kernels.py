@@ -30,7 +30,6 @@ def _library_path() -> str:
 _library = Library(_library_path())
 
 BACKEND = _library.BACKEND
-sm64_next = _library.sm64_next
 comp_scan = _library.comp_scan
 exact_search = _library.exact_search
 anneal_chain = _library.anneal_chain

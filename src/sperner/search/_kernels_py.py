@@ -15,7 +15,7 @@ import math
 import time
 
 from ..lattice import (_comparable_bits, _label_bits, _positions_with_bit,
-                       bit_positions, bits_of)
+                       bit_positions, family_universe)
 
 BACKEND = "pure"
 
@@ -109,8 +109,8 @@ def _waterfill_product(values, units):
     return bound
 
 
-def exact_search(m_count, k, product, masks, cmp_fwd, floor_value,
-                 target, node_budget, deadline):
+def exact_search(k, product, masks, cmp_fwd, floor_value, target,
+                 node_budget, deadline):
     """Exhaustive search over labelings of the usable masks.
 
     Index i gets a label in {0 = unused, 1..k}; assigning a positive label
@@ -126,6 +126,7 @@ def exact_search(m_count, k, product, masks, cmp_fwd, floor_value,
     Returns (best_value, best_labels or None, nodes, completed), where
     byte i of best_labels is the label of masks[i].
     """
+    m_count = len(masks)
     labels = bytearray(m_count)
     pins = [bytearray(m_count)]  # one scratch row per depth
     for _ in range(m_count):
@@ -323,14 +324,17 @@ class _AnnealState:
         return comp
 
 
-def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
+def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
                  restart_interval, stop_value, deadline):
     """One annealing chain: perturb (remove / move / recolor a component /
     add), greedily refill to a maximal labeling, and Metropolis-accept on
     the measure with geometric cooling.  Restarts cycle through the given
     construction variants.  Fully determined by the seed (wall-clock
     deadline aside).  Variants and best_labels are labelings: byte m is
-    the family of mask m.
+    the family of mask m.  The chain places the proper masks of its
+    ground, 1..2**n - 2: with k >= 2 families a cross-Sperner tuple holds
+    neither the empty set nor the whole ground, as both are comparable to
+    every set.  So it needs n >= 2.
 
     Returns (best_value, best_labels, steps_done, final_state), where
     final_state is the generator state after the chain's last draw, so a
@@ -339,11 +343,12 @@ def anneal_chain(n, k, product, usable, variants, seed, steps, t0, alpha,
     st = _AnnealState(n, k)
     state = seed & _MASK64
     variant_idx = 0
-    usable = list(usable)
-    usable_bits = bits_of(usable)
+    total = 1 << n
+    usable = range(1, total - 1)
+    usable_bits = family_universe(n) ^ 1 ^ 1 << (total - 1)
 
     def fill(state):
-        order = usable.copy()
+        order = list(usable)
         for i in range(len(order) - 1, 0, -1):
             state, j = _rand_below(state, i + 1)
             order[i], order[j] = order[j], order[i]

@@ -6,15 +6,19 @@
  * A fixed seed therefore produces identical trajectories on either
  * backend; the tests rely on it.  Both DFS kernels check their deadline
  * every 4096 nodes, both annealers before every step.  The annealer
- * packs each family bitset into max(1, 2**n / 64) 64-bit words, so it
- * serves every ground up to the package-wide MAX_GROUND; a chain holds
- * 4(k + 1) + 7 such bitsets.  Its values are exact unsigned integers in
- * VALUE_LIMBS 32-bit limbs, wide enough for every product of up to
- * ANNEAL_MAX_K counts, so it takes both measures at every (n, k).
+ * places the proper masks of its ground, 1..2**n - 2, since a
+ * cross-Sperner tuple of k >= 2 families holds neither the empty set nor
+ * the whole ground.  It packs each family bitset into max(1, 2**n / 64)
+ * 64-bit words, so it serves every ground up to the package-wide
+ * MAX_GROUND; a chain holds 4(k + 1) + 7 such bitsets.  Its values are
+ * exact unsigned integers in VALUE_LIMBS 32-bit limbs, wide enough for
+ * every product of up to ANNEAL_MAX_K counts, so it takes both measures at
+ * every (n, k).
  *
- * _clib.py binds the exported sperner_* functions with ctypes and, before
- * each call, checks every argument that sizes or indexes a buffer; the
- * kernels trust them.
+ * The library exports three functions, sperner_comp_scan,
+ * sperner_exact_search and sperner_anneal_chain.  _clib.py binds them with
+ * ctypes and, before each call, checks every argument that sizes or
+ * indexes a buffer; the kernels trust them.
  * Deadlines arrive as seconds left, measured on this file's own
  * monotonic clock.  Build with `python setup.py build_ext --inplace`.
  * Compile in a standard mode (-std=c99): GCC then keeps floating-point
@@ -104,11 +108,6 @@ static uint64_t rand_below(uint64_t *state, uint64_t bound)
 static double rand_unit(uint64_t *state)
 {
     return (sm64(state) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-uint64_t sperner_sm64_next(uint64_t *state)
-{
-    return sm64(state);
 }
 
 /* -- monotone pair scan --------------------------------------------------- */
@@ -516,8 +515,7 @@ typedef struct {
     uint64_t word_mask; /* the positions of a word that hold a mask */
     AnnState cur;
     AnnState snap;
-    int n_usable;
-    const int *usable;
+    int n_usable; /* the proper masks 1..total - 2 */
     uint64_t *usable_bits;
     int *order; /* n_usable */
     int *stack; /* total */
@@ -778,7 +776,7 @@ static void fill(Ann *a, uint64_t *state)
     int i, m, j, jj, pass_no;
     uint64_t r;
     for (i = 0; i < a->n_usable; i++)
-        a->order[i] = a->usable[i];
+        a->order[i] = i + 1;
     for (i = a->n_usable - 1; i > 0; i--) {
         r = rand_below(state, i + 1);
         m = a->order[i];
@@ -908,7 +906,7 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
                 }
             }
         } else { /* dig a coordinated hole: drop everything comparable to a pivot */
-            one(a, a->usable[rand_below(state, a->n_usable)], a->pick);
+            one(a, 1 + (int)rand_below(state, a->n_usable), a->pick);
             for (w = 0; w < a->words; w++)
                 a->pick[w] &= a->cur.support[w];
             for (m = next_member(a->pick, a->words, 0); m >= 0;
@@ -967,13 +965,13 @@ static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *sta
  * stop_value and best_out hold VALUE_LIMBS limbs each, least significant
  * first, and a stop value of 0 means none; best_labels receives 2**n
  * bytes and state_out the generator state after the last draw.  Requires
- * n <= MAX_GROUND, 2 <= k <= ANNEAL_MAX_K and 1 <= n_usable; returns -1
- * otherwise, or when memory runs out. */
-int sperner_anneal_chain(int n, int k, int product, int n_usable,
-                         const int *usable, int n_var, const uint8_t *variants,
-                         uint64_t seed, int64_t steps, double t0, double alpha,
-                         int64_t restart_interval, const uint32_t *stop_value,
-                         int timed, double time_left, uint32_t *best_out,
+ * 2 <= n <= MAX_GROUND and 2 <= k <= ANNEAL_MAX_K; returns -1 otherwise,
+ * or when memory runs out. */
+int sperner_anneal_chain(int n, int k, int product, int n_var,
+                         const uint8_t *variants, uint64_t seed, int64_t steps,
+                         double t0, double alpha, int64_t restart_interval,
+                         const uint32_t *stop_value, int timed,
+                         double time_left, uint32_t *best_out,
                          uint8_t *best_labels, int64_t *done_out,
                          uint64_t *state_out)
 {
@@ -983,8 +981,7 @@ int sperner_anneal_chain(int n, int k, int product, int n_usable,
     size_t words, rows;
     int i;
     uint64_t state = seed;
-    if (n < 0 || n > MAX_GROUND || k < 2 || k > ANNEAL_MAX_K
-        || n_usable < 1 || n_usable > (1 << n) || n_var < 1)
+    if (n < 2 || n > MAX_GROUND || k < 2 || k > ANNEAL_MAX_K || n_var < 1)
         return -1;
     memset(&a, 0, sizeof(a));
     a.n = n;
@@ -993,14 +990,13 @@ int sperner_anneal_chain(int n, int k, int product, int n_usable,
     a.words = a.total < 64 ? 1 : a.total >> 6;
     a.word_mask = a.total < 64 ? ((uint64_t)1 << a.total) - 1 : ~(uint64_t)0;
     a.product = product;
-    a.n_usable = n_usable;
-    a.usable = usable;
+    a.n_usable = a.total - 2;
     /* one block, widest elements first so that each array stays aligned */
     words = a.words;
     rows = (size_t)(k + 1) * words;
     block = calloc(1, (4 * rows + 7 * words) * sizeof(uint64_t)
                           + 2 * (k + 1) * sizeof(int64_t)
-                          + (size_t)(n_usable + a.total) * sizeof(int)
+                          + (size_t)(a.n_usable + a.total) * sizeof(int)
                           + 2 * (size_t)a.total);
     if (!block)
         return -1;
@@ -1018,12 +1014,12 @@ int sperner_anneal_chain(int n, int k, int product, int n_usable,
     a.pick = carve(&p, words, sizeof(uint64_t));
     a.cur.counts = carve(&p, k + 1, sizeof(int64_t));
     a.snap.counts = carve(&p, k + 1, sizeof(int64_t));
-    a.order = carve(&p, n_usable, sizeof(int));
+    a.order = carve(&p, a.n_usable, sizeof(int));
     a.stack = carve(&p, a.total, sizeof(int));
     a.cur.labels = carve(&p, a.total, 1);
     a.snap.labels = carve(&p, a.total, 1);
-    for (i = 0; i < n_usable; i++)
-        set_bit(a.usable_bits, usable[i]);
+    for (i = 1; i <= a.n_usable; i++)
+        set_bit(a.usable_bits, i);
     memcpy(stop.limb, stop_value, sizeof(stop.limb));
     for (stop.len = VALUE_LIMBS; stop.len > 1 && !stop.limb[stop.len - 1]; stop.len--)
         ;

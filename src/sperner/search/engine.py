@@ -378,7 +378,7 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
     kern, _ = _select()
     value, labels, nodes, completed = kern.exact_search(
-        len(masks), cfg.k, product, masks, fwd, floor,
+        cfg.k, product, masks, fwd, floor,
         cfg.target or 0, cfg.budget_nodes or 0, deadline,
     )
     if labels is not None:
@@ -444,8 +444,6 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
     steps = _DEFAULT_STEPS if cfg.budget_nodes is None else cfg.budget_nodes
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
     variants = _variants(cfg.n, cfg.k, product, cfg.seed)
-    total = 1 << cfg.n
-    usable = list(range(1, total - 1))
     state = cfg.seed & ((1 << 64) - 1)
     seeds = []
     for _ in range(chains):
@@ -456,7 +454,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
 
     def run(chain_seed: int):
         return kern.anneal_chain(
-            cfg.n, cfg.k, product, usable, variants, chain_seed, steps,
+            cfg.n, cfg.k, product, variants, chain_seed, steps,
             _T0, _ALPHA, _RESTART, stop, deadline,
         )
 
@@ -465,17 +463,14 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
             outs = list(ex.map(run, seeds))
     else:
         outs = [run(chain_seed) for chain_seed in seeds]
-    best_val = -1
-    best_tuple = None
-    steps_done = 0
-    for value, labels, done, _ in outs:
-        steps_done += done
-        cand = _tuple_of(cfg.n, cfg.k, labels)
-        if value > best_val or (
-            value == best_val
-            and cand.canonical_key() < best_tuple.canonical_key()
-        ):
-            best_val, best_tuple = value, cand
+    # best value, then least canonical key, then seed order; a key is
+    # made only when chains tie, once for each of them
+    best_val = max(out[0] for out in outs)
+    ties = [_tuple_of(cfg.n, cfg.k, labels)
+            for value, labels, _, _ in outs if value == best_val]
+    best_tuple = (ties[0] if len(ties) == 1
+                  else min(ties, key=FamilyTuple.canonical_key))
+    steps_done = sum(out[2] for out in outs)
     _check_witness(best_tuple, best_val, product)
     return SearchResult(value=best_val, witness=best_tuple, optimal=False,
                         nodes=steps_done, elapsed=time.monotonic() - start,
