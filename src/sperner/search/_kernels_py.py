@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 
 from ..lattice import (_comparable_bits, _label_bits, _positions_with_bit,
                        bit_positions, family_universe)
@@ -21,9 +22,6 @@ BACKEND = "pure"
 
 _INF = 1 << 60
 _MASK64 = (1 << 64) - 1
-
-FREE = 0
-DEAD = 255
 
 
 # -- splitmix64, mirrored bit for bit by the compiled kernel ----------------
@@ -82,30 +80,20 @@ def _canonical_key(labels, masks, k):
     return tuple(tuple(f) for f in fams)
 
 
-def _waterfill_product(values, units):
-    """Max of prod(v_i + x_i) over x >= 0 with sum(x) = units: raise the
-    lowest entries first."""
-    w = sorted(values)
-    k = len(w)
-    lev, cnt, u = w[0], 1, units
-    idx = 1
-    while idx < k:
-        gap = w[idx] - lev
-        if cnt * gap <= u:
-            u -= cnt * gap
-            lev = w[idx]
-            cnt += 1
-            idx += 1
-        else:
-            break
-    base, r = lev + u // cnt, u % cnt
-    bound = 1
-    for i in range(r):
-        bound *= base + 1
-    for i in range(cnt - r):
-        bound *= base
+def _waterfill_product(ranked, units):
+    """Max of prod(v_i + x_i) over x >= 0 with sum(x) = units, for the
+    values v in ascending order: raise the lowest entries first, to a
+    common level of (their sum + units) / cnt, spread as evenly as
+    integers allow."""
+    k = len(ranked)
+    low, cnt = ranked[0], 1  # the sum of the cnt lowest values
+    while cnt < k and ranked[cnt] * cnt - low <= units:
+        low += ranked[cnt]
+        cnt += 1
+    base, r = divmod(low + units, cnt)
+    bound = (base + 1) ** r * base ** (cnt - r)
     for i in range(cnt, k):
-        bound *= w[i]
+        bound *= ranked[i]
     return bound
 
 
@@ -117,6 +105,12 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
     pins every comparable later index to that label (or kills it if it was
     pinned elsewhere), which is exactly the cross-Sperner constraint.
     Label numbers open in first-use order, cutting the k! symmetry.
+    Each node's pin row is words over the indices, bit i for index i:
+    `free` (no label forced), `dead` (no label possible) and `pinned[j]`
+    (label j forced), so a node counts its remaining indices with two
+    popcounts and a child costs a few word operations per family.  The
+    counts of families 1..k are also kept in ascending order, which the
+    product bound reads as it is.
     Pruning is by an admissible completion bound and is strict (only
     branches that cannot reach the best value are cut), so every optimal
     labeling is visited and the canonically least witness survives.
@@ -128,17 +122,15 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
     """
     m_count = len(masks)
     labels = bytearray(m_count)
-    pins = [bytearray(m_count)]  # one scratch row per depth
-    for _ in range(m_count):
-        pins.append(bytearray(m_count))
     counts = [0] * (k + 1)
+    ranked = [0] * k  # counts[1..k] ascending
     best = floor_value
     best_labels = None
     best_key = None
     nodes = 0
     aborted = False
 
-    def rec(d, used, cur_sum, pin):
+    def rec(d, used, cur_sum, free, dead, pinned):
         nonlocal best, best_labels, best_key, nodes, aborted
         nodes += 1
         if aborted or (node_budget and nodes > node_budget):
@@ -167,55 +159,49 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
                 if best_key is None or key < best_key:
                     best_labels, best_key = bytes(labels), key
             return
-        free_rem = 0
-        pin_rem = 0
-        for i in range(d, m_count):
-            p = pin[i]
-            if p == FREE:
-                free_rem += 1
-            elif p != DEAD:
-                pin_rem += 1
+        free_rem = (free >> d).bit_count()
+        pin_rem = m_count - d - free_rem - (dead >> d).bit_count()
         if used < k and free_rem < k - used:
             return
         if product:
-            values = counts[1 : used + 1] + [0] * (k - used)
-            bound = _waterfill_product(values, free_rem + pin_rem)
+            bound = _waterfill_product(ranked, free_rem + pin_rem)
         else:
             bound = cur_sum + free_rem + pin_rem
         if bound < best:
             return
-        p = pin[d]
-        if p == DEAD:
-            choices = ()
-        elif p == FREE:
+        if free >> d & 1:
             choices = range(1, used + 2) if used < k else range(1, k + 1)
+        elif dead >> d & 1:
+            choices = ()
         else:
-            choices = (p,)
-        child = pins[d + 1]
+            for j in range(1, used + 1):
+                if pinned[j] >> d & 1:
+                    choices = (j,)
+                    break
+        fwd = cmp_fwd[d]
+        take = fwd & free
         for c in choices:
             labels[d] = c
-            counts[c] += 1
-            child[:] = pin
-            fwd = cmp_fwd[d]
-            while fwd:
-                low = fwd & -fwd
-                i = low.bit_length() - 1
-                fwd ^= low
-                q = child[i]
-                if q == FREE:
-                    child[i] = c
-                elif q != c:
-                    child[i] = DEAD
-            rec(d + 1, used + (1 if c > used else 0), cur_sum + 1, child)
-            counts[c] -= 1
+            old = counts[c]
+            counts[c] = old + 1
+            ranked[bisect_right(ranked, old) - 1] += 1
+            # comparable later indices: free ones join family c, those
+            # pinned to another family die
+            kill = fwd & ~free & ~dead & ~pinned[c]
+            child = [p & ~kill for p in pinned]
+            child[c] |= take
+            rec(d + 1, used + (1 if c > used else 0), cur_sum + 1,
+                free & ~fwd, dead | kill, child)
+            counts[c] = old
+            ranked[bisect_left(ranked, old + 1)] -= 1
             if aborted:
                 labels[d] = 0
                 return
         labels[d] = 0
-        rec(d + 1, used, cur_sum, pin)
+        rec(d + 1, used, cur_sum, free, dead, pinned)
 
     if m_count:
-        rec(0, 0, 0, pins[0])
+        rec(0, 0, 0, (1 << m_count) - 1, 0, [0] * (k + 1))
     else:
         nodes = 1
     return best, best_labels, nodes, not aborted

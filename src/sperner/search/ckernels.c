@@ -15,6 +15,17 @@
  * every product of up to ANNEAL_MAX_K counts, so it takes both measures at
  * every (n, k).
  *
+ * The exact DFS keeps each depth's pin row, the labels that earlier
+ * choices force on later masks, as 64-bit words: one of free masks, one
+ * of dead masks and one of the masks pinned to each opened family.  A
+ * node counts its remaining masks with two popcounts, and a child is a
+ * few word operations per family.
+ *
+ * GCC on x86-64 with glibc builds the two popcount loops, the DFS and the
+ * pair scan, twice, with and without the POPCNT instruction, and the
+ * loader picks one for the CPU; other compilers and targets build them
+ * once, in plain C99.
+ *
  * The library exports three functions, sperner_comp_scan,
  * sperner_exact_search and sperner_anneal_chain.  _clib.py binds them with
  * ctypes and, before each call, checks every argument that sizes or
@@ -38,8 +49,14 @@
 /* counts stay below 2**MAX_GROUND, so a product of ANNEAL_MAX_K of them
  * stays below 2**5100: 160 limbs of 32 bits */
 #define VALUE_LIMBS 160
-#define FREE 0
-#define DEAD 255
+
+/* target_clones needs GCC 6 and the loader's indirect functions */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 6 \
+    && defined(__x86_64__) && defined(__GLIBC__)
+#define POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#else
+#define POPCNT_CLONES
+#endif
 
 static const int64_t INF = (int64_t)1 << 60;
 
@@ -112,21 +129,16 @@ static double rand_unit(uint64_t *state)
 
 /* -- monotone pair scan --------------------------------------------------- */
 
-/* Per intersection size t in 0..total, the minimum |U| + |D| - t and the
- * first (upset, downset) pair in scan order attaining it. */
-void sperner_comp_scan(int64_t n_up, const uint64_t *ups, const int64_t *usizes,
-                       int64_t n_down, const uint64_t *downs,
-                       const int64_t *dsizes, int total, int64_t *best,
-                       int64_t *bu, int64_t *bd)
+/* the scan proper; a clone on the exported function would export its
+ * resolver too */
+static POPCNT_CLONES void comp_pairs(int64_t n_up, const uint64_t *ups,
+                                     const int64_t *usizes, int64_t n_down,
+                                     const uint64_t *downs, const int64_t *dsizes,
+                                     int64_t *best, int64_t *bu, int64_t *bd)
 {
     int64_t i, j, v, su;
     uint64_t u;
     int t;
-    for (t = 0; t <= total; t++) {
-        best[t] = INF;
-        bu[t] = -1;
-        bd[t] = -1;
-    }
     for (i = 0; i < n_up; i++) {
         u = ups[i];
         su = usizes[i];
@@ -140,6 +152,22 @@ void sperner_comp_scan(int64_t n_up, const uint64_t *ups, const int64_t *usizes,
             }
         }
     }
+}
+
+/* Per intersection size t in 0..total, the minimum |U| + |D| - t and the
+ * first (upset, downset) pair in scan order attaining it. */
+void sperner_comp_scan(int64_t n_up, const uint64_t *ups, const int64_t *usizes,
+                       int64_t n_down, const uint64_t *downs,
+                       const int64_t *dsizes, int total, int64_t *best,
+                       int64_t *bu, int64_t *bd)
+{
+    int t;
+    for (t = 0; t <= total; t++) {
+        best[t] = INF;
+        bu[t] = -1;
+        bd[t] = -1;
+    }
+    comp_pairs(n_up, ups, usizes, n_down, downs, dsizes, best, bu, bd);
 }
 
 /* hands out the next count elements of size bytes from *p */
@@ -159,8 +187,13 @@ typedef struct {
     const int64_t *masks;
     const uint64_t *cmp;
     uint8_t *labels;
-    uint8_t *pins; /* (M + 1) rows of M */
+    /* (M + 1) pin rows of width words, one per depth: word 0 holds the
+     * free masks, word 1 the dead ones and word 1 + j those pinned to
+     * family j; a row's words partition the masks it has not passed */
+    uint64_t *rows;
+    int width;
     int64_t *counts;
+    int64_t *ranked; /* counts[1..k] in ascending order */
     int64_t best;
     uint8_t *best_labels;
     int has_labels;
@@ -171,7 +204,6 @@ typedef struct {
     int64_t *starts;
     int64_t *lens;
     int64_t *ford;
-    int64_t *wf;
     int64_t nodes;
     int64_t target;
     int64_t node_budget;
@@ -234,47 +266,49 @@ static int cmp_key(const int64_t *a, int la, const int64_t *b, int lb)
     return la == lb ? 0 : (la < lb ? -1 : 1);
 }
 
-/* Max of prod(v_i + x_i) over x >= 0 with sum(x) = units, where v holds
- * the used families' counts padded with zeros: raise the lowest first. */
-static int64_t waterfill(Ctx *c, int used, int64_t units)
+/* one more mask for family j: the last ranked entry equal to its old
+ * count grows, and the ranking stays sorted */
+static void count_add(Ctx *c, int j)
 {
-    int i, a, b, cnt;
-    int64_t x, lev, u, gap, base, r, bound;
-    for (i = 0; i < used; i++)
-        c->wf[i] = c->counts[i + 1];
-    for (i = used; i < c->k; i++)
-        c->wf[i] = 0;
-    for (a = 1; a < c->k; a++) {
-        x = c->wf[a];
-        b = a - 1;
-        while (b >= 0 && c->wf[b] > x) {
-            c->wf[b + 1] = c->wf[b];
-            b--;
-        }
-        c->wf[b + 1] = x;
-    }
-    lev = c->wf[0];
-    cnt = 1;
-    u = units;
-    i = 1;
-    while (i < c->k) {
-        gap = c->wf[i] - lev;
-        if (cnt * gap > u)
-            break;
-        u -= cnt * gap;
-        lev = c->wf[i];
-        cnt++;
+    int i = c->k - 1;
+    while (c->ranked[i] != c->counts[j])
+        i--;
+    c->ranked[i]++;
+    c->counts[j]++;
+}
+
+/* one mask less for family j: the first entry equal to its count shrinks */
+static void count_remove(Ctx *c, int j)
+{
+    int i = 0;
+    while (c->ranked[i] != c->counts[j])
         i++;
-    }
-    base = lev + u / cnt;
-    r = u % cnt;
+    c->ranked[i]--;
+    c->counts[j]--;
+}
+
+/* Max of prod(v_i + x_i) over x >= 0 with sum(x) = units, where v holds
+ * the k counts, unopened families at zero: raise the lowest entries
+ * first, to a common level of (their sum + units) / cnt, spread as evenly
+ * as integers allow. */
+static int64_t waterfill(const Ctx *c, int64_t units)
+{
+    int i, cnt;
+    int64_t low, base, r, bound;
+    const int64_t *ranked = c->ranked;
+    low = ranked[0]; /* the sum of the cnt lowest values */
+    cnt = 1;
+    while (cnt < c->k && ranked[cnt] * cnt - low <= units)
+        low += ranked[cnt++];
+    base = (low + units) / cnt;
+    r = (low + units) % cnt;
     bound = 1;
     for (i = 0; i < (int)r; i++)
         bound *= base + 1;
     for (i = 0; i < cnt - (int)r; i++)
         bound *= base;
     for (i = cnt; i < c->k; i++)
-        bound *= c->wf[i];
+        bound *= ranked[i];
     return bound;
 }
 
@@ -309,12 +343,15 @@ static void leaf(Ctx *c, int used, int64_t cur_sum)
     }
 }
 
-static void rec(Ctx *c, int d, int used, int64_t cur_sum, const uint8_t *pin)
+/* Node d of the DFS with pin row `row`: each label the row allows for
+ * mask d, then leaving it unused. */
+static POPCNT_CLONES void rec(Ctx *c, int d, int used, int64_t cur_sum,
+                              const uint64_t *row)
 {
-    int i, p, n_choices, ci, cval;
+    int j, n_choices, ci, cval, pinned, opened;
     int64_t free_rem, pin_rem, bound;
-    uint64_t fwd;
-    uint8_t *child, q;
+    uint64_t bit, fwd, take, kill;
+    uint64_t *child;
     c->nodes++;
     if (c->aborted || (c->node_budget && c->nodes > c->node_budget)) {
         c->aborted = 1;
@@ -332,53 +369,55 @@ static void rec(Ctx *c, int d, int used, int64_t cur_sum, const uint8_t *pin)
         leaf(c, used, cur_sum);
         return;
     }
-    free_rem = 0;
-    pin_rem = 0;
-    for (i = d; i < c->M; i++) {
-        p = pin[i];
-        if (p == FREE)
-            free_rem++;
-        else if (p != DEAD)
-            pin_rem++;
-    }
+    free_rem = popcount64(row[0] >> d);
+    pin_rem = c->M - d - free_rem - popcount64(row[1] >> d);
     if (used < c->k && free_rem < c->k - used)
         return;
     if (c->product)
-        bound = waterfill(c, used, free_rem + pin_rem);
+        bound = waterfill(c, free_rem + pin_rem);
     else
         bound = cur_sum + free_rem + pin_rem;
     if (bound < c->best)
         return;
-    p = pin[d];
-    if (p == DEAD)
-        n_choices = 0;
-    else if (p == FREE)
+    bit = (uint64_t)1 << d;
+    pinned = 0;
+    if (row[0] & bit)
         n_choices = used < c->k ? used + 1 : c->k;
-    else
+    else if (row[1] & bit)
+        n_choices = 0;
+    else {
+        for (pinned = 1; !(row[1 + pinned] & bit); pinned++)
+            ;
         n_choices = 1;
-    child = c->pins + (size_t)(d + 1) * c->M;
+    }
+    fwd = c->cmp[d];
+    take = fwd & row[0];
+    child = c->rows + (size_t)(d + 1) * c->width;
     for (ci = 0; ci < n_choices; ci++) {
-        cval = p == FREE ? ci + 1 : p;
+        cval = pinned ? pinned : ci + 1;
+        opened = cval > used;
         c->labels[d] = (uint8_t)cval;
-        c->counts[cval]++;
-        memcpy(child, pin, c->M);
-        for (fwd = c->cmp[d]; fwd; fwd &= fwd - 1) {
-            i = lowest_bit(fwd);
-            q = child[i];
-            if (q == FREE)
-                child[i] = (uint8_t)cval;
-            else if (q != cval)
-                child[i] = DEAD;
-        }
-        rec(c, d + 1, used + (cval > used ? 1 : 0), cur_sum + 1, child);
-        c->counts[cval]--;
+        count_add(c, cval);
+        /* comparable later masks: free ones join family cval, those
+         * pinned to another family die */
+        kill = fwd & ~row[0] & ~row[1] & ~(opened ? 0 : row[1 + cval]);
+        child[0] = row[0] & ~fwd;
+        child[1] = row[1] | kill;
+        for (j = 1; j <= used; j++)
+            child[1 + j] = row[1 + j] & ~kill;
+        if (opened)
+            child[1 + cval] = take;
+        else
+            child[1 + cval] |= take;
+        rec(c, d + 1, used + opened, cur_sum + 1, child);
+        count_remove(c, cval);
         if (c->aborted) {
             c->labels[d] = 0;
             return;
         }
     }
     c->labels[d] = 0;
-    rec(c, d + 1, used, cur_sum, pin);
+    rec(c, d + 1, used, cur_sum, row);
 }
 
 /* Exhaustive search over labelings of the m_count usable masks; see the
@@ -398,14 +437,17 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
     int M = m_count;
     char *block, *p;
     size_t rows = M ? M : 1, fams = k > 0 ? k : 1, keycap = M + fams + 1;
-    /* one block, the int64 arrays first so that each one stays aligned */
+    /* a family opens at a mask, so at most min(k, M) ever open */
+    size_t width = 2 + (fams < rows ? fams : rows);
+    /* one block, the 64-bit arrays first so that each one stays aligned */
     block = calloc(1, (2 * keycap + rows + 5 * fams + 3) * sizeof(int64_t)
-                          + (M + 2) * rows);
+                          + (rows + 1) * width * sizeof(uint64_t) + rows);
     if (!block)
         return -1;
     memset(&c, 0, sizeof(c));
     c.M = M;
     c.k = k;
+    c.width = (int)width;
     c.product = product;
     c.masks = masks;
     c.cmp = cmp_fwd;
@@ -415,20 +457,22 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
     c.best_labels = labels_out;
     p = block;
     c.counts = carve(&p, fams + 1, sizeof(int64_t));
+    c.ranked = carve(&p, fams, sizeof(int64_t));
     c.best_key = carve(&p, keycap, sizeof(int64_t));
     c.key_buf = carve(&p, keycap, sizeof(int64_t));
     c.tmp = carve(&p, rows, sizeof(int64_t));
     c.starts = carve(&p, fams + 1, sizeof(int64_t));
     c.lens = carve(&p, fams + 1, sizeof(int64_t));
     c.ford = carve(&p, fams, sizeof(int64_t));
-    c.wf = carve(&p, fams, sizeof(int64_t));
+    c.rows = carve(&p, (rows + 1) * width, sizeof(uint64_t));
     c.labels = carve(&p, rows, 1);
-    c.pins = carve(&p, (M + 1) * rows, 1);
     c.deadline = deadline_of(timed, time_left);
-    if (M)
-        rec(&c, 0, 0, 0, c.pins);
-    else
+    if (M) {
+        c.rows[0] = ~(uint64_t)0 >> (64 - M); /* every mask free */
+        rec(&c, 0, 0, 0, c.rows);
+    } else {
         c.nodes = 1;
+    }
     *best_out = c.best;
     *nodes_out = c.nodes;
     *has_labels_out = c.has_labels;

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import shutil
@@ -183,27 +184,51 @@ SIGMA_EXACT = {
 }
 
 
-def _check_exact(res, expected):
+# the canonical key of each proof's witness, the least optimal tuple
+PI_WITNESS = {
+    (2, 2): ((1,), (2,)),
+    (3, 2): ((1, 3), (4, 6)),
+    (3, 3): ((1,), (2,), (4,)),
+    (4, 2): ((1, 3, 5, 7), (8, 10, 12, 14)),
+    (4, 3): ((1, 3, 5), (6,), (8, 10, 12)),
+    (4, 4): ((1, 3, 5, 9), (6,), (10,), (12,)),
+    (5, 2): ((1, 3, 5, 7, 9, 11, 13, 15), (16, 18, 20, 22, 24, 26, 28, 30)),
+    (5, 3): ((1, 3, 5, 7, 9, 11, 17, 21, 25), (12, 14, 28), (18, 22, 26)),
+    (5, 4): ((3, 5, 6, 7), (9, 17, 25), (10, 18, 26), (12, 20, 28)),
+}
+SIGMA_WITNESS = {
+    (2, 2): ((1,), (2,)),
+    (3, 2): ((1,), (2, 4, 6)),
+    (3, 3): ((1,), (2,), (4,)),
+    (4, 2): ((1, 2, 3, 5, 6, 7, 9, 10, 11), (12,)),
+    (4, 3): ((1, 3, 5, 6, 7, 9), (10,), (12,)),
+    (4, 4): ((1, 3, 5, 9), (6,), (10,), (12,)),
+    (5, 2): ((1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22,
+              23), (24,)),
+    (5, 3): ((1, 2, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19), (20,), (24,)),
+    (5, 4): ((1, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17), (18,), (20,), (24,)),
+}
+
+
+def _check_exact(res, expected, key):
     assert res.optimal
     assert res.value == expected
-    if expected:
-        assert res.witness is not None
-        assert is_cross_sperner(res.witness).ok
+    assert res.witness is not None
+    assert is_cross_sperner(res.witness).ok
+    assert res.witness.canonical_key() == key
     return res
 
 
 @pytest.mark.parametrize("nk,expected", sorted(PI_EXACT.items()))
 def test_exact_product_values(nk, expected):
-    res = _check_exact(exact_max_product(SearchConfig(*nk)), expected)
-    if res.witness:
-        assert res.witness.product_size() == expected
+    res = _check_exact(exact_max_product(SearchConfig(*nk)), expected, PI_WITNESS[nk])
+    assert res.witness.product_size() == expected
 
 
 @pytest.mark.parametrize("nk,expected", sorted(SIGMA_EXACT.items()))
 def test_exact_sum_values(nk, expected):
-    res = _check_exact(exact_max_sum(SearchConfig(*nk)), expected)
-    if res.witness:
-        assert res.witness.sum_size() == expected
+    res = _check_exact(exact_max_sum(SearchConfig(*nk)), expected, SIGMA_WITNESS[nk])
+    assert res.witness.sum_size() == expected
 
 
 def test_exact_infeasible_width_returns_zero():
@@ -219,16 +244,19 @@ def test_exact_pair_product_closed_form():
 
 # determinism: node counts are part of the contract
 
-NODE_COUNTS_PRODUCT = {(4, 2): 1837, (4, 3): 932, (4, 4): 627, (5, 2): 1781591, (5, 4): 548728}
-NODE_COUNTS_SUM = {(4, 2): 295, (4, 3): 435, (4, 4): 307, (5, 2): 17968, (5, 4): 66508}
+# (5, 3) was frozen last; listing it last keeps the other cases' test ids
+NODE_COUNTS_PRODUCT = {(4, 2): 1837, (4, 3): 932, (4, 4): 627, (5, 2): 1781591,
+                       (5, 4): 548728, (5, 3): 799503}
+NODE_COUNTS_SUM = {(4, 2): 295, (4, 3): 435, (4, 4): 307, (5, 2): 17968, (5, 4): 66508,
+                   (5, 3): 66784}
 
 
-@pytest.mark.parametrize("nk,count", sorted(NODE_COUNTS_PRODUCT.items()))
+@pytest.mark.parametrize("nk,count", NODE_COUNTS_PRODUCT.items())
 def test_exact_product_node_counts(nk, count):
     assert exact_max_product(SearchConfig(*nk)).nodes == count
 
 
-@pytest.mark.parametrize("nk,count", sorted(NODE_COUNTS_SUM.items()))
+@pytest.mark.parametrize("nk,count", NODE_COUNTS_SUM.items())
 def test_exact_sum_node_counts(nk, count):
     assert exact_max_sum(SearchConfig(*nk)).nodes == count
 
@@ -557,6 +585,46 @@ def _exact_args(n, k, product):
     return k, product, masks, fwd, floor, 0, 0, 0.0
 
 
+def _exact_parity_cases():
+    """Exact-search calls on which every backend must give the pure
+    kernel's result."""
+    cases = []
+    for n, k, product in [(4, 2, True), (4, 3, True), (4, 2, False), (4, 4, False)]:
+        args = _exact_args(n, k, product)
+        floor = args[4]
+        # the construction floor, floor 0, and a target just above the floor
+        cases += [args, args[:4] + (0,) + args[5:], args[:5] + (floor + 1,) + args[6:]]
+    # node budgets at the ends of the 4096-node deadline cadence, from floor 0
+    args = _exact_args(5, 3, True)
+    for budget in (1, 4096, 4097, 100_000):
+        cases.append(args[:4] + (0, 0, budget, 0.0))
+    cases += [_exact_args(5, k, False) for k in (2, 3, 4)]
+    # 64 masks fill every bit of a row's word
+    rng = random.Random(64)
+    masks = rng.sample(range(1, 1 << 20), 64)
+    fwd = [sum(1 << j for j in range(i + 1, 64) if rng.random() < 0.15) for i in range(64)]
+    for k, product in [(3, True), (4, False)]:
+        cases.append((k, product, masks, fwd, 0, 0, 20_000, 0.0))
+    return cases
+
+
+@pytest.fixture(scope="session")
+def exact_parity():
+    """(arguments, pure result) of each exact parity case."""
+    from sperner.search import _kernels_py
+
+    return [(args, _kernels_py.exact_search(*args)) for args in _exact_parity_cases()]
+
+
+@pytest.fixture(scope="session")
+def comp_parity():
+    """(arguments, pure result) of each comp_scan parity case."""
+    from sperner.search import _kernels_py
+
+    return [(args, _kernels_py.comp_scan(*args))
+            for args in (_comp_args(3), _comp_args(4), _comp_args(5, orbit_firsts=True))]
+
+
 def _anneal_args(n, k, product, seed, steps, restart=None):
     from sperner.search.engine import _ALPHA, _RESTART, _T0, _variants
 
@@ -583,14 +651,13 @@ class TestBackendParity:
         assert self.fast.BACKEND == "compiled"
         assert BACKEND in ("pure", "compiled")
 
-    def test_comp_scan_identical(self):
-        for args in (_comp_args(3), _comp_args(4), _comp_args(5, orbit_firsts=True)):
-            assert self.pure.comp_scan(*args) == self.fast.comp_scan(*args)
+    def test_comp_scan_identical(self, comp_parity):
+        for args, pure in comp_parity:
+            assert self.fast.comp_scan(*args) == pure
 
-    def test_exact_search_identical(self):
-        for n, k, product in [(4, 2, True), (4, 3, True), (4, 2, False), (4, 4, False)]:
-            args = _exact_args(n, k, product)
-            assert self.pure.exact_search(*args) == self.fast.exact_search(*args)
+    def test_exact_search_identical(self, exact_parity):
+        for i, (args, pure) in enumerate(exact_parity):
+            assert self.fast.exact_search(*args) == pure, i
 
     def test_anneal_chain_identical(self):
         # the final generator state in each result shows any extra or
@@ -906,6 +973,61 @@ def test_library_exports_only_the_kernels(gcc_library):
                           capture_output=True, text=True, check=True, timeout=60)
     names = {line.split()[-1] for line in proc.stdout.splitlines() if line.strip()}
     assert names == {f"sperner_{name}" for name in KERNELS}
+
+
+def _ubsan_build(gcc, source, lib):
+    """Builds source with every undefined-behaviour check, each one
+    aborting the process that loaded the library."""
+    proc = subprocess.run(
+        [gcc, "-std=c99", "-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all",
+         "-shared", "-fPIC", "-o", str(lib), str(source), "-lm"],
+        capture_output=True, text=True, timeout=300,
+    )
+    if proc.returncode and "ubsan" in proc.stderr:
+        pytest.skip("libubsan not found")
+    assert proc.returncode == 0, proc.stderr
+    return str(lib)
+
+
+def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity):
+    # the parity cases on a sanitized build, in a process of their own
+    # since a check that fires aborts it; the 64-mask case shifts rows by
+    # up to 63 bits
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found")
+    # a shift past the word first, to show that the checks fire
+    shift_c = tmp_path / "shift.c"
+    shift_c.write_text("#include <stdint.h>\n"
+                       "uint64_t shl(int s) { return (uint64_t)1 << s; }\n")
+    shift = _ubsan_build(gcc, shift_c, tmp_path / "shift.so")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ctypes, sys; ctypes.CDLL(sys.argv[1]).shl(64)", shift],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0 and "shift exponent 64" in proc.stderr, proc.stderr
+    lib = _ubsan_build(gcc, CKERNELS_C, tmp_path / "_ckernels.so")
+    calls = tmp_path / "calls.json"
+    calls.write_text(json.dumps({"exact": [args for args, _ in exact_parity],
+                                 "comp": [args for args, _ in comp_parity]}))
+    code = textwrap.dedent("""
+        import json, sys
+        from sperner.search._clib import Library
+        lib = Library(sys.argv[1])
+        with open(sys.argv[2]) as fh:
+            calls = json.load(fh)
+        exact = [lib.exact_search(*args) for args in calls["exact"]]
+        json.dump({"exact": [(b, labels and labels.hex(), nodes, done)
+                             for b, labels, nodes, done in exact],
+                   "comp": [lib.comp_scan(*args) for args in calls["comp"]]},
+                  sys.stdout)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, lib, str(calls)], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["exact"] == [[b, labels and labels.hex(), nodes, done]
+                            for _, (b, labels, nodes, done) in exact_parity]
+    assert out["comp"] == [list(map(list, pure)) for _, pure in comp_parity]
 
 
 def test_unloadable_library_raises_import_error(tmp_path):
