@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, bisect_right
 
 from ..lattice import (_comparable_bits, _label_bits, _positions_with_bit,
                        bit_positions, family_universe)
@@ -80,20 +79,20 @@ def _canonical_key(labels, masks, k):
     return tuple(tuple(f) for f in fams)
 
 
-def _waterfill_product(ranked, units):
+def _waterfill_product(pots, units):
     """Max of prod(v_i + x_i) over x >= 0 with sum(x) = units, for the
     values v in ascending order: raise the lowest entries first, to a
     common level of (their sum + units) / cnt, spread as evenly as
     integers allow."""
-    k = len(ranked)
-    low, cnt = ranked[0], 1  # the sum of the cnt lowest values
-    while cnt < k and ranked[cnt] * cnt - low <= units:
-        low += ranked[cnt]
+    k = len(pots)
+    low, cnt = pots[0], 1  # the sum of the cnt lowest values
+    while cnt < k and pots[cnt] * cnt - low <= units:
+        low += pots[cnt]
         cnt += 1
     base, r = divmod(low + units, cnt)
     bound = (base + 1) ** r * base ** (cnt - r)
     for i in range(cnt, k):
-        bound *= ranked[i]
+        bound *= pots[i]
     return bound
 
 
@@ -108,9 +107,11 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
     Each node's pin row is words over the indices, bit i for index i:
     `free` (no label forced), `dead` (no label possible) and `pinned[j]`
     (label j forced), so a node counts its remaining indices with two
-    popcounts and a child costs a few word operations per family.  The
-    counts of families 1..k are also kept in ascending order, which the
-    product bound reads as it is.
+    popcounts and a child costs a few word operations per family.
+    A mask pinned to family j can only ever join j, so the product bound
+    gives each family the potential of its count plus the masks from d on
+    pinned to it (0 for a family not yet opened), and waterfills only the
+    free masks onto those potentials.
     Pruning is by an admissible completion bound and is strict (only
     branches that cannot reach the best value are cut), so every optimal
     labeling is visited and the canonically least witness survives.
@@ -123,7 +124,6 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
     m_count = len(masks)
     labels = bytearray(m_count)
     counts = [0] * (k + 1)
-    ranked = [0] * k  # counts[1..k] ascending
     best = floor_value
     best_labels = None
     best_key = None
@@ -160,13 +160,15 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
                     best_labels, best_key = bytes(labels), key
             return
         free_rem = (free >> d).bit_count()
-        pin_rem = m_count - d - free_rem - (dead >> d).bit_count()
         if used < k and free_rem < k - used:
             return
         if product:
-            bound = _waterfill_product(ranked, free_rem + pin_rem)
+            # unopened families have count 0 and no pins
+            pots = sorted([counts[j] + (pinned[j] >> d).bit_count()
+                           for j in range(1, k + 1)])
+            bound = _waterfill_product(pots, free_rem)
         else:
-            bound = cur_sum + free_rem + pin_rem
+            bound = cur_sum + m_count - d - (dead >> d).bit_count()
         if bound < best:
             return
         if free >> d & 1:
@@ -182,9 +184,7 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
         take = fwd & free
         for c in choices:
             labels[d] = c
-            old = counts[c]
-            counts[c] = old + 1
-            ranked[bisect_right(ranked, old) - 1] += 1
+            counts[c] += 1
             # comparable later indices: free ones join family c, those
             # pinned to another family die
             kill = fwd & ~free & ~dead & ~pinned[c]
@@ -192,8 +192,7 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
             child[c] |= take
             rec(d + 1, used + (1 if c > used else 0), cur_sum + 1,
                 free & ~fwd, dead | kill, child)
-            counts[c] = old
-            ranked[bisect_left(ranked, old + 1)] -= 1
+            counts[c] -= 1
             if aborted:
                 labels[d] = 0
                 return

@@ -19,12 +19,15 @@
  * choices force on later masks, as 64-bit words: one of free masks, one
  * of dead masks and one of the masks pinned to each opened family.  A
  * node counts its remaining masks with two popcounts, and a child is a
- * few word operations per family.
+ * few word operations per family.  A mask pinned to a family can only
+ * ever join that family, so the product bound gives each family its count
+ * plus one popcount of its pin row, sorts those k potentials and
+ * waterfills only the free masks onto them.
  *
- * GCC on x86-64 with glibc builds the two popcount loops, the DFS and the
- * pair scan, twice, with and without the POPCNT instruction, and the
- * loader picks one for the CPU; other compilers and targets build them
- * once, in plain C99.
+ * GCC on x86-64 with glibc builds the popcount loops, the DFS, the pair
+ * scan and the annealer's, twice, with and without the POPCNT
+ * instruction, and the loader picks one for the CPU; other compilers and
+ * targets build them once, in plain C99.
  *
  * The library exports three functions, sperner_comp_scan,
  * sperner_exact_search and sperner_anneal_chain.  _clib.py binds them with
@@ -192,8 +195,8 @@ typedef struct {
      * family j; a row's words partition the masks it has not passed */
     uint64_t *rows;
     int width;
-    int64_t *counts;
-    int64_t *ranked; /* counts[1..k] in ascending order */
+    int64_t *counts; /* counts[1..k]: the members of each family */
+    int64_t *pots;   /* k: the product bound's potentials, ascending */
     int64_t best;
     uint8_t *best_labels;
     int has_labels;
@@ -266,40 +269,18 @@ static int cmp_key(const int64_t *a, int la, const int64_t *b, int lb)
     return la == lb ? 0 : (la < lb ? -1 : 1);
 }
 
-/* one more mask for family j: the last ranked entry equal to its old
- * count grows, and the ranking stays sorted */
-static void count_add(Ctx *c, int j)
-{
-    int i = c->k - 1;
-    while (c->ranked[i] != c->counts[j])
-        i--;
-    c->ranked[i]++;
-    c->counts[j]++;
-}
-
-/* one mask less for family j: the first entry equal to its count shrinks */
-static void count_remove(Ctx *c, int j)
-{
-    int i = 0;
-    while (c->ranked[i] != c->counts[j])
-        i++;
-    c->ranked[i]--;
-    c->counts[j]--;
-}
-
-/* Max of prod(v_i + x_i) over x >= 0 with sum(x) = units, where v holds
- * the k counts, unopened families at zero: raise the lowest entries
- * first, to a common level of (their sum + units) / cnt, spread as evenly
- * as integers allow. */
-static int64_t waterfill(const Ctx *c, int64_t units)
+/* Max of prod(v_i + x_i) over x >= 0 with sum(x) = units, for the k
+ * values v in ascending order: raise the lowest entries first, to a
+ * common level of (their sum + units) / cnt, spread as evenly as integers
+ * allow. */
+static int64_t waterfill(const int64_t *v, int k, int64_t units)
 {
     int i, cnt;
     int64_t low, base, r, bound;
-    const int64_t *ranked = c->ranked;
-    low = ranked[0]; /* the sum of the cnt lowest values */
+    low = v[0]; /* the sum of the cnt lowest values */
     cnt = 1;
-    while (cnt < c->k && ranked[cnt] * cnt - low <= units)
-        low += ranked[cnt++];
+    while (cnt < k && v[cnt] * cnt - low <= units)
+        low += v[cnt++];
     base = (low + units) / cnt;
     r = (low + units) % cnt;
     bound = 1;
@@ -307,8 +288,8 @@ static int64_t waterfill(const Ctx *c, int64_t units)
         bound *= base + 1;
     for (i = 0; i < cnt - (int)r; i++)
         bound *= base;
-    for (i = cnt; i < c->k; i++)
-        bound *= ranked[i];
+    for (i = cnt; i < k; i++)
+        bound *= v[i];
     return bound;
 }
 
@@ -348,8 +329,8 @@ static void leaf(Ctx *c, int used, int64_t cur_sum)
 static POPCNT_CLONES void rec(Ctx *c, int d, int used, int64_t cur_sum,
                               const uint64_t *row)
 {
-    int j, n_choices, ci, cval, pinned, opened;
-    int64_t free_rem, pin_rem, bound;
+    int i, j, n_choices, ci, cval, pinned, opened;
+    int64_t free_rem, bound, pot;
     uint64_t bit, fwd, take, kill;
     uint64_t *child;
     c->nodes++;
@@ -370,13 +351,20 @@ static POPCNT_CLONES void rec(Ctx *c, int d, int used, int64_t cur_sum,
         return;
     }
     free_rem = popcount64(row[0] >> d);
-    pin_rem = c->M - d - free_rem - popcount64(row[1] >> d);
     if (used < c->k && free_rem < c->k - used)
         return;
-    if (c->product)
-        bound = waterfill(c, free_rem + pin_rem);
-    else
-        bound = cur_sum + free_rem + pin_rem;
+    if (c->product) {
+        /* insertion-sort the potentials; an unopened family's is 0 */
+        for (j = 1; j <= c->k; j++) {
+            pot = j <= used ? c->counts[j] + popcount64(row[1 + j] >> d) : 0;
+            for (i = j - 1; i > 0 && c->pots[i - 1] > pot; i--)
+                c->pots[i] = c->pots[i - 1];
+            c->pots[i] = pot;
+        }
+        bound = waterfill(c->pots, c->k, free_rem);
+    } else {
+        bound = cur_sum + c->M - d - popcount64(row[1] >> d);
+    }
     if (bound < c->best)
         return;
     bit = (uint64_t)1 << d;
@@ -397,7 +385,7 @@ static POPCNT_CLONES void rec(Ctx *c, int d, int used, int64_t cur_sum,
         cval = pinned ? pinned : ci + 1;
         opened = cval > used;
         c->labels[d] = (uint8_t)cval;
-        count_add(c, cval);
+        c->counts[cval]++;
         /* comparable later masks: free ones join family cval, those
          * pinned to another family die */
         kill = fwd & ~row[0] & ~row[1] & ~(opened ? 0 : row[1 + cval]);
@@ -410,7 +398,7 @@ static POPCNT_CLONES void rec(Ctx *c, int d, int used, int64_t cur_sum,
         else
             child[1 + cval] |= take;
         rec(c, d + 1, used + opened, cur_sum + 1, child);
-        count_remove(c, cval);
+        c->counts[cval]--;
         if (c->aborted) {
             c->labels[d] = 0;
             return;
@@ -457,7 +445,7 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
     c.best_labels = labels_out;
     p = block;
     c.counts = carve(&p, fams + 1, sizeof(int64_t));
-    c.ranked = carve(&p, fams, sizeof(int64_t));
+    c.pots = carve(&p, fams, sizeof(int64_t));
     c.best_key = carve(&p, keycap, sizeof(int64_t));
     c.key_buf = carve(&p, keycap, sizeof(int64_t));
     c.tmp = carve(&p, rows, sizeof(int64_t));
@@ -628,7 +616,7 @@ static void reclose(Ann *a, int j)
     comparable_to(a, fam_of(&a->cur, a, j), near_of(&a->cur, a, j));
 }
 
-static void ann_load(Ann *a, const uint8_t *labels)
+static POPCNT_CLONES void ann_load(Ann *a, const uint8_t *labels)
 {
     AnnState *s = &a->cur;
     int m, j;
@@ -855,17 +843,19 @@ static int other_family(const Ann *a, uint64_t *state, int j)
     return pick + (pick >= j ? 1 : 0);
 }
 
-/* a uniformly drawn member of the support, which must not be empty */
-static int support_member(const Ann *a, uint64_t *state)
+/* a uniformly drawn member of the support, which must not be empty;
+ * inline, so that the annealer's POPCNT clone takes it in */
+static inline int support_member(const Ann *a, uint64_t *state)
 {
     return nth_member(a->cur.support, rand_below(state, a->cur.support_count));
 }
 
 /* stop, if not 0, ends the chain once best reaches it */
-static int64_t ann_run(Ann *a, const uint8_t *variants, int n_var, uint64_t *state,
-                       int64_t steps, double t0, double alpha,
-                       int64_t restart_interval, const Value *stop,
-                       double deadline, Value *best, uint8_t *best_labels)
+static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
+                                     uint64_t *state, int64_t steps, double t0,
+                                     double alpha, int64_t restart_interval,
+                                     const Value *stop, double deadline,
+                                     Value *best, uint8_t *best_labels)
 {
     Value values[2], *cur = values, *nv = values + 1, *swap;
     int64_t step, done = 0, last_improve = 0;

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -245,8 +246,8 @@ def test_exact_pair_product_closed_form():
 # determinism: node counts are part of the contract
 
 # (5, 3) was frozen last; listing it last keeps the other cases' test ids
-NODE_COUNTS_PRODUCT = {(4, 2): 1837, (4, 3): 932, (4, 4): 627, (5, 2): 1781591,
-                       (5, 4): 548728, (5, 3): 799503}
+NODE_COUNTS_PRODUCT = {(4, 2): 361, (4, 3): 391, (4, 4): 518, (5, 2): 23038,
+                       (5, 4): 68006, (5, 3): 55048}
 NODE_COUNTS_SUM = {(4, 2): 295, (4, 3): 435, (4, 4): 307, (5, 2): 17968, (5, 4): 66508,
                    (5, 3): 66784}
 
@@ -594,9 +595,10 @@ def _exact_parity_cases():
         floor = args[4]
         # the construction floor, floor 0, and a target just above the floor
         cases += [args, args[:4] + (0,) + args[5:], args[:5] + (floor + 1,) + args[6:]]
-    # node budgets at the ends of the 4096-node deadline cadence, from floor 0
+    # node budgets at the ends of the 4096-node deadline cadence and past
+    # its first checks, from floor 0, where the search completes at 63,603
     args = _exact_args(5, 3, True)
-    for budget in (1, 4096, 4097, 100_000):
+    for budget in (1, 4096, 4097, 8193, 40_000, 100_000):
         cases.append(args[:4] + (0, 0, budget, 0.0))
     cases += [_exact_args(5, k, False) for k in (2, 3, 4)]
     # 64 masks fill every bit of a row's word
@@ -733,30 +735,70 @@ def gcc_kernels(gcc_library):
     return Library(gcc_library)
 
 
-def test_exact_ratio_rounds_as_int_division(tmp_path):
-    # above 2**53 products no longer convert to double exactly; the C
-    # acceptance ratio must still round as Python's int division does, at
-    # every width up to 5100 bits and down to quotients that round to 0
+def _probe(tmp_path, code):
+    """The function probe, defined by code after an #include of
+    ckernels.c, so that it can call the kernels' static helpers."""
     import ctypes
 
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
     probe = tmp_path / "probe.c"
-    probe.write_text(f'#include "{CKERNELS_C}"\n'
-                     "double probe(const uint32_t *a, int na, const uint32_t *b, int nb)\n"
-                     "{\n"
-                     "    Value x, y;\n"
-                     "    x.len = na;\n"
-                     "    y.len = nb;\n"
-                     "    memcpy(x.limb, a, na * sizeof(uint32_t));\n"
-                     "    memcpy(y.limb, b, nb * sizeof(uint32_t));\n"
-                     "    return exact_ratio(&x, &y);\n"
-                     "}\n")
+    probe.write_text(f'#include "{CKERNELS_C}"\n' + textwrap.dedent(code))
     lib = tmp_path / "probe.so"
     subprocess.run([gcc, "-std=c99", "-O2", "-shared", "-fPIC", "-o", str(lib),
                     str(probe), "-lm"], check=True, timeout=120)
-    probe_fn = ctypes.CDLL(str(lib)).probe
+    return ctypes.CDLL(str(lib)).probe
+
+
+def test_waterfill_is_the_best_split(tmp_path):
+    # the product bound's core on both backends: the most that units more
+    # members, split over families of the sorted sizes v, can make of the
+    # product, against trying every split
+    import ctypes
+    import itertools
+
+    from sperner.search._kernels_py import _waterfill_product
+
+    waterfill = _probe(tmp_path, """
+        int64_t probe(const int64_t *v, int k, int64_t units)
+        {
+            return waterfill(v, k, units);
+        }
+    """)
+    waterfill.argtypes = [ctypes.POINTER(ctypes.c_int64), ctypes.c_int, ctypes.c_int64]
+    waterfill.restype = ctypes.c_int64
+
+    def best_split(v, units):
+        if len(v) == 1:
+            return v[0] + units
+        return max((v[0] + x) * best_split(v[1:], units - x) for x in range(units + 1))
+
+    for k in range(1, 5):
+        for v in itertools.combinations_with_replacement(range(6), k):
+            for units in range(9):
+                want = best_split(v, units)
+                assert _waterfill_product(list(v), units) == want, (v, units)
+                assert waterfill((ctypes.c_int64 * k)(*v), k, units) == want, (v, units)
+
+
+def test_exact_ratio_rounds_as_int_division(tmp_path):
+    # above 2**53 products no longer convert to double exactly; the C
+    # acceptance ratio must still round as Python's int division does, at
+    # every width up to 5100 bits and down to quotients that round to 0
+    import ctypes
+
+    probe_fn = _probe(tmp_path, """
+        double probe(const uint32_t *a, int na, const uint32_t *b, int nb)
+        {
+            Value x, y;
+            x.len = na;
+            y.len = nb;
+            memcpy(x.limb, a, na * sizeof(uint32_t));
+            memcpy(y.limb, b, nb * sizeof(uint32_t));
+            return exact_ratio(&x, &y);
+        }
+    """)
     probe_fn.restype = ctypes.c_double
 
     def limbs(v):
@@ -973,6 +1015,32 @@ def test_library_exports_only_the_kernels(gcc_library):
                           capture_output=True, text=True, check=True, timeout=60)
     names = {line.split()[-1] for line in proc.stdout.splitlines() if line.strip()}
     assert names == {f"sperner_{name}" for name in KERNELS}
+
+
+def test_popcount_loops_have_popcnt_clones(gcc_library):
+    # where the kernels build POPCNT clones, the DFS, the pair scan and the
+    # annealer each have one, and only the default clones call libgcc's
+    # software popcount
+    gcc, objdump = shutil.which("gcc"), shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump not found")
+    source = subprocess.run([gcc, "-std=c99", "-E", str(CKERNELS_C)],
+                            capture_output=True, text=True, check=True, timeout=120)
+    if "target_clones" not in source.stdout:
+        pytest.skip("no POPCNT clones for this compiler and target")
+    proc = subprocess.run([objdump, "-d", gcc_library],
+                          capture_output=True, text=True, check=True, timeout=60)
+    functions, callers, name = set(), set(), None
+    for line in proc.stdout.splitlines():
+        head = re.fullmatch(r"[0-9a-f]+ <(.+)>:", line)
+        if head:
+            name = head.group(1)
+            functions.add(name)
+        elif "<__popcountdi2" in line and name != "__popcountdi2":
+            callers.add(name)
+    clones = {f.partition(".")[0] for f in functions if ".popcnt" in f}
+    assert {"rec", "comp_pairs", "ann_run", "ann_load"} <= clones
+    assert all(".default" in f for f in callers), callers
 
 
 def _ubsan_build(gcc, source, lib):
