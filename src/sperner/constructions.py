@@ -32,10 +32,8 @@ from .lattice import (
     Family,
     FamilyTuple,
     check_ground,
-    colex_initial_segment,
     incomparable_complement,
     is_cross_sperner,
-    mask_from_elements,
     _positions_with_bit,
 )
 
@@ -101,13 +99,6 @@ class ProductParams:
         q, r = divmod(self.n, self.k)
         return tuple(q + 1 if i < r else q for i in range(self.k))
 
-    def block_elements(self) -> tuple[tuple[int, ...], ...]:
-        out, start = [], 1
-        for b in self.block_sizes():
-            out.append(tuple(range(start, start + b)))
-            start += b
-        return tuple(out)
-
     def segment_sizes(self) -> tuple[int, ...]:
         if self.segments is not None:
             return self.segments
@@ -145,33 +136,25 @@ def build_product_tuple(p: ProductParams) -> FamilyTuple:
     the complement counts of the other blocks.
     """
     sizes = p.block_sizes()
-    elems = p.block_elements()
     t = p.segment_sizes()
-    seg_masks: list[list[int]] = []
-    comp_masks: list[list[int]] = []
+    seg_masks: list[range] = []
+    comp_masks: list[range] = []
+    s = 0  # the elements before block i
     for i in range(p.k):
         cap = 1 << sizes[i]
         if not 1 <= t[i] <= cap:
             raise BadSegmentSize(
                 f"segment size {t[i]} on block {i + 1} outside 1..{cap}"
             )
-        seg = colex_initial_segment(p.n, elems[i], t[i])
-        local = set(seg.masks())
-        block_mask = mask_from_elements(elems[i], p.n)
-        rest = []
-        s = block_mask
-        while True:
-            if s not in local:
-                rest.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & block_mask
-        if not rest:
+        if t[i] == cap:
             raise EmptyBlock(
                 f"segment swallows all of block {i + 1}, its complement part is empty"
             )
-        seg_masks.append(sorted(local))
-        comp_masks.append(sorted(rest))
+        # a contiguous block's colex order is the numeric order of its
+        # masks, so the segment is the t[i] least and the rest follow
+        seg_masks.append(range(0, t[i] << s, 1 << s))
+        comp_masks.append(range(t[i] << s, cap << s, 1 << s))
+        s += sizes[i]
     families = []
     for i in range(p.k):
         bits = 1  # the empty position, forked block by block

@@ -151,13 +151,12 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
                     v *= counts[j]
             else:
                 v = cur_sum
-            if v > best:
-                best, best_labels = v, bytes(labels)
-                best_key = _canonical_key(labels, masks, k)
-            elif v == best:
-                key = _canonical_key(labels, masks, k)
-                if best_key is None or key < best_key:
-                    best_labels, best_key = bytes(labels), key
+            if v < best:
+                return
+            key = _canonical_key(labels, masks, k)
+            if v == best and best_key is not None and key >= best_key:
+                return
+            best, best_labels, best_key = v, bytes(labels), key
             return
         free_rem = (free >> d).bit_count()
         if used < k and free_rem < k - used:
@@ -199,10 +198,7 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
         labels[d] = 0
         rec(d + 1, used, cur_sum, free, dead, pinned)
 
-    if m_count:
-        rec(0, 0, 0, (1 << m_count) - 1, 0, [0] * (k + 1))
-    else:
-        nodes = 1
+    rec(0, 0, 0, (1 << m_count) - 1, 0, [0] * (k + 1))
     return best, best_labels, nodes, not aborted
 
 

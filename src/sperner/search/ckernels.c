@@ -22,7 +22,9 @@
  * few word operations per family.  A mask pinned to a family can only
  * ever join that family, so the product bound gives each family its count
  * plus one popcount of its pin row, sorts those k potentials and
- * waterfills only the free masks onto them.
+ * waterfills only the free masks onto them.  Each call sorts the mask
+ * indices by mask once; a leaf reads its canonical key off that order and
+ * takes the labeling when its value is higher, or equal with a smaller key.
  *
  * GCC on x86-64 with glibc builds the popcount loops, the DFS, the pair
  * scan and the annealer's, twice, with and without the POPCNT
@@ -197,16 +199,15 @@ typedef struct {
     int width;
     int64_t *counts; /* counts[1..k]: the members of each family */
     int64_t *pots;   /* k: the product bound's potentials, ascending */
+    int *asc;        /* M: the mask indices, by ascending mask */
     int64_t best;
     uint8_t *best_labels;
     int has_labels;
+    /* the canonical keys of the best labeling and of a candidate; a
+     * leaf that takes the candidate swaps the two buffers */
     int64_t *best_key;
     int best_key_len;
     int64_t *key_buf;
-    int64_t *tmp;
-    int64_t *starts;
-    int64_t *lens;
-    int64_t *ford;
     int64_t nodes;
     int64_t target;
     int64_t node_budget;
@@ -215,47 +216,24 @@ typedef struct {
 } Ctx;
 
 /* The canonical key of the current labeling: each family's members
- * ascending, families ordered by least member, -1 between families. */
-static int build_key(Ctx *c, int64_t *out)
+ * ascending, families ordered by least member, -1 between families.  The
+ * walk over asc meets each family first at its least member, and at a
+ * leaf every family holds one, so k <= M <= 64 and a word marks the
+ * families written. */
+static int build_key(const Ctx *c, int64_t *out)
 {
-    int pos = 0, i, j, jj, a, b, klen;
-    int64_t x;
-    for (j = 1; j <= c->k; j++) {
-        c->starts[j] = pos;
-        for (i = 0; i < c->M; i++)
-            if (c->labels[i] == j)
-                c->tmp[pos++] = c->masks[i];
-        /* insertion sort this family's members ascending */
-        for (a = (int)c->starts[j] + 1; a < pos; a++) {
-            x = c->tmp[a];
-            b = a - 1;
-            while (b >= c->starts[j] && c->tmp[b] > x) {
-                c->tmp[b + 1] = c->tmp[b];
-                b--;
-            }
-            c->tmp[b + 1] = x;
-        }
-        c->lens[j] = pos - c->starts[j];
-    }
-    for (j = 0; j < c->k; j++)
-        c->ford[j] = j + 1;
-    /* order families by least member (members are disjoint across families) */
-    for (a = 0; a < c->k; a++) {
-        b = a;
-        for (jj = a + 1; jj < c->k; jj++)
-            if (c->tmp[c->starts[c->ford[jj]]] < c->tmp[c->starts[c->ford[b]]])
-                b = jj;
-        x = c->ford[a];
-        c->ford[a] = c->ford[b];
-        c->ford[b] = x;
-    }
-    klen = 0;
-    for (a = 0; a < c->k; a++) {
-        j = (int)c->ford[a];
-        if (a)
+    int p, q, lab, klen = 0;
+    uint64_t done = 0;
+    for (p = 0; p < c->M; p++) {
+        lab = c->labels[c->asc[p]];
+        if (!lab || done >> (lab - 1) & 1)
+            continue;
+        done |= (uint64_t)1 << (lab - 1);
+        if (klen)
             out[klen++] = -1;
-        for (i = (int)c->starts[j]; i < (int)(c->starts[j] + c->lens[j]); i++)
-            out[klen++] = c->tmp[i];
+        for (q = p; q < c->M; q++)
+            if (c->labels[c->asc[q]] == lab)
+                out[klen++] = c->masks[c->asc[q]];
     }
     return klen;
 }
@@ -295,8 +273,8 @@ static int64_t waterfill(const int64_t *v, int k, int64_t units)
 
 static void leaf(Ctx *c, int used, int64_t cur_sum)
 {
-    int64_t v;
-    int j, klen, rel;
+    int64_t v, *key;
+    int j, klen;
     if (used != c->k)
         return;
     if (c->product) {
@@ -306,22 +284,19 @@ static void leaf(Ctx *c, int used, int64_t cur_sum)
     } else {
         v = cur_sum;
     }
-    if (v > c->best) {
-        c->best = v;
-        memcpy(c->best_labels, c->labels, c->M);
-        c->has_labels = 1;
-        c->best_key_len = build_key(c, c->best_key);
-    } else if (v == c->best) {
-        klen = build_key(c, c->key_buf);
-        rel = c->has_labels ? cmp_key(c->key_buf, klen, c->best_key, c->best_key_len)
-                            : -1;
-        if (rel < 0) {
-            memcpy(c->best_labels, c->labels, c->M);
-            c->has_labels = 1;
-            memcpy(c->best_key, c->key_buf, klen * sizeof(int64_t));
-            c->best_key_len = klen;
-        }
-    }
+    if (v < c->best)
+        return;
+    klen = build_key(c, c->key_buf);
+    if (v == c->best && c->has_labels
+        && cmp_key(c->key_buf, klen, c->best_key, c->best_key_len) >= 0)
+        return;
+    c->best = v;
+    memcpy(c->best_labels, c->labels, c->M);
+    c->has_labels = 1;
+    key = c->best_key;
+    c->best_key = c->key_buf;
+    c->key_buf = key;
+    c->best_key_len = klen;
 }
 
 /* Node d of the DFS with pin row `row`: each label the row allows for
@@ -422,14 +397,15 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
                          int *has_labels_out, int *completed_out)
 {
     Ctx c;
-    int M = m_count;
+    int M = m_count, i, j;
     char *block, *p;
     size_t rows = M ? M : 1, fams = k > 0 ? k : 1, keycap = M + fams + 1;
     /* a family opens at a mask, so at most min(k, M) ever open */
     size_t width = 2 + (fams < rows ? fams : rows);
     /* one block, the 64-bit arrays first so that each one stays aligned */
-    block = calloc(1, (2 * keycap + rows + 5 * fams + 3) * sizeof(int64_t)
-                          + (rows + 1) * width * sizeof(uint64_t) + rows);
+    block = calloc(1, (2 * keycap + 2 * fams + 1) * sizeof(int64_t)
+                          + (rows + 1) * width * sizeof(uint64_t)
+                          + rows * sizeof(int) + rows);
     if (!block)
         return -1;
     memset(&c, 0, sizeof(c));
@@ -448,19 +424,17 @@ int sperner_exact_search(int m_count, int k, int product, const int64_t *masks,
     c.pots = carve(&p, fams, sizeof(int64_t));
     c.best_key = carve(&p, keycap, sizeof(int64_t));
     c.key_buf = carve(&p, keycap, sizeof(int64_t));
-    c.tmp = carve(&p, rows, sizeof(int64_t));
-    c.starts = carve(&p, fams + 1, sizeof(int64_t));
-    c.lens = carve(&p, fams + 1, sizeof(int64_t));
-    c.ford = carve(&p, fams, sizeof(int64_t));
     c.rows = carve(&p, (rows + 1) * width, sizeof(uint64_t));
+    c.asc = carve(&p, rows, sizeof(int));
     c.labels = carve(&p, rows, 1);
-    c.deadline = deadline_of(timed, time_left);
-    if (M) {
-        c.rows[0] = ~(uint64_t)0 >> (64 - M); /* every mask free */
-        rec(&c, 0, 0, 0, c.rows);
-    } else {
-        c.nodes = 1;
+    for (i = 0; i < M; i++) {
+        for (j = i; j > 0 && masks[c.asc[j - 1]] > masks[i]; j--)
+            c.asc[j] = c.asc[j - 1];
+        c.asc[j] = i;
     }
+    c.deadline = deadline_of(timed, time_left);
+    c.rows[0] = M ? ~(uint64_t)0 >> (64 - M) : 0; /* every mask free */
+    rec(&c, 0, 0, 0, c.rows);
     *best_out = c.best;
     *nodes_out = c.nodes;
     *has_labels_out = c.has_labels;

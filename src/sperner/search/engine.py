@@ -9,7 +9,8 @@ One rule, in `_select`, picks the kernels for every search: the compiled
 ones whenever their library loads, the pure ones otherwise.  Compiled
 chains release the interpreter lock and run on a thread pool; pure
 chains would only take turns on it, so they run one after another in
-seed order.
+seed order, in the calling thread.  That way Ctrl-C stops a pure search
+at once, where a pool would first wait for its running chains.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ class SearchConfig:
     serve one mode; it records the caller's intent.  threads
     fixes the chain count for the heuristic (exact results never depend
     on it); it must be at least 1, and None means 4.  Compiled chains run
-    on a thread pool, pure chains one after another, with the same
-    result for a given (seed, threads).  target stops a search early once
+    on a thread pool, pure chains one after another in the calling
+    thread, so that Ctrl-C stops them at once, with the same result for a
+    given (seed, threads).  Under budget_secs that means the first pure
+    chain may spend the whole budget, and compiled chains beyond the CPU
+    count may start after the deadline, so fewer than `threads` chains
+    may take a step.  target stops a search early once
     the value is reached; it must be at least 1, and None means no target.
     """
 

@@ -20,6 +20,7 @@ from sperner.errors import (
 )
 from sperner.lattice import (
     Family,
+    colex_initial_segment,
     comparability_number,
     elements_of_mask,
     is_antichain,
@@ -101,6 +102,34 @@ def test_product_sizes_match_prediction_grid():
             assert t.sizes() == p.predicted_sizes()
             assert is_cross_sperner(t).ok
     assert built >= 30
+
+
+def test_product_membership_by_definition():
+    # family i holds exactly the sets that meet block i inside its colex
+    # segment and every other block j outside segment j, for every valid
+    # segment vector; a wrong shift that keeps the sizes fails this
+    import itertools
+
+    built = 0
+    for n in range(1, 9):
+        for k in range(2, 5):
+            sizes = ProductParams(n, k).block_sizes()
+            blocks, start = [], 1
+            for b in sizes:
+                blocks.append(tuple(range(start, start + b)))
+                start += b
+            block_masks = [sum(1 << (e - 1) for e in elems) for elems in blocks]
+            for segs in itertools.product(*(range(1, (1 << b)) for b in sizes)):
+                inside = [set(colex_initial_segment(n, elems, t).masks())
+                          for elems, t in zip(blocks, segs)]
+                t = build_product_tuple(ProductParams(n, k, segs))
+                for i, fam in enumerate(t.families):
+                    want = [m for m in range(1 << n)
+                            if all((m & bm in seg) == (j == i) for j, (bm, seg)
+                                   in enumerate(zip(block_masks, inside)))]
+                    assert list(fam.masks()) == want, (n, k, segs, i)
+                built += 1
+    assert built > 500
 
 
 def test_product_custom_segments_checked():

@@ -607,6 +607,11 @@ def _exact_parity_cases():
     fwd = [sum(1 << j for j in range(i + 1, 64) if rng.random() < 0.15) for i in range(64)]
     for k, product in [(3, True), (4, False)]:
         cases.append((k, product, masks, fwd, 0, 0, 20_000, 0.0))
+    # 64 incomparable masks in 64 families: the leaf's key walk marks
+    # family 64 in the last bit of its word
+    cases.append((64, False, masks, [0] * 64, 0, 0, 0, 0.0))
+    # no masks at all, and no masks with the floor past the target
+    cases += [(2, True, [], [], 0, 0, 0, 0.0), (2, True, [], [], 5, 1, 0, 0.0)]
     return cases
 
 
@@ -711,16 +716,19 @@ CKERNELS_C = (Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="session")
 def gcc_library(tmp_path_factory):
     """The path of ckernels.c compiled by gcc as strict C99 with -Wall,
-    -Wextra, -Wvla, -Wshadow and -Wstrict-prototypes warnings as errors.
-    -Wvla keeps 2**n-sized arrays off the stack."""
+    -Wextra, -Wvla, -Wshadow, -Wstrict-prototypes, -Wcast-qual,
+    -Wlogical-op, -Wduplicated-cond, -Wduplicated-branches and
+    -Wnull-dereference warnings as errors.  -Wvla keeps 2**n-sized arrays
+    off the stack, and -Wcast-qual keeps const pointers const."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
     lib = tmp_path_factory.mktemp("ckernels") / "_ckernels.so"
     proc = subprocess.run(
         [gcc, "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wvla", "-Wshadow",
-         "-Wstrict-prototypes", "-Werror", "-O2", "-shared", "-fPIC",
-         "-o", str(lib), str(CKERNELS_C), "-lm"],
+         "-Wstrict-prototypes", "-Wcast-qual", "-Wlogical-op", "-Wduplicated-cond",
+         "-Wduplicated-branches", "-Wnull-dereference", "-Werror", "-O2", "-shared",
+         "-fPIC", "-o", str(lib), str(CKERNELS_C), "-lm"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -780,6 +788,55 @@ def test_waterfill_is_the_best_split(tmp_path):
                 want = best_split(v, units)
                 assert _waterfill_product(list(v), units) == want, (v, units)
                 assert waterfill((ctypes.c_int64 * k)(*v), k, units) == want, (v, units)
+
+
+def test_key_walk_matches_canonical_key(tmp_path):
+    # the C leaf's key, read off the indices in ascending mask order,
+    # against the pure kernel's sorted families, flattened with -1 between
+    import ctypes
+
+    from sperner.search._kernels_py import _canonical_key
+
+    build_key = _probe(tmp_path, """
+        int probe(int M, int k, const int64_t *masks, uint8_t *labels, int *asc,
+                  int64_t *out)
+        {
+            Ctx c;
+            memset(&c, 0, sizeof(c));
+            c.M = M;
+            c.k = k;
+            c.masks = masks;
+            c.labels = labels;
+            c.asc = asc;
+            return build_key(&c, out);
+        }
+    """)
+
+    def c_key(masks, labels, k):
+        m_count = len(masks)
+        asc = sorted(range(m_count), key=masks.__getitem__)
+        out = (ctypes.c_int64 * (2 * m_count))()
+        klen = build_key(m_count, k, (ctypes.c_int64 * m_count)(*masks),
+                         (ctypes.c_uint8 * m_count)(*labels),
+                         (ctypes.c_int * m_count)(*asc), out)
+        return out[:klen]
+
+    def flat(key):
+        return [m for f in key for m in (-1,) + f][1:]
+
+    rng = random.Random(17)
+    cases = []
+    for _ in range(400):
+        m_count = rng.randint(1, 64)
+        k = rng.randint(1, min(8, m_count))
+        # every family non-empty, as at a leaf; label 0 leaves a mask out
+        labels = list(range(1, k + 1)) + [rng.randint(0, k) for _ in range(m_count - k)]
+        rng.shuffle(labels)
+        cases.append((rng.sample(range(1 << 20), m_count), labels, k))
+    cases.append((rng.sample(range(1 << 20), 64), rng.sample(range(1, 65), 64), 64))
+    for masks, labels, k in cases:
+        want = flat(_canonical_key(labels, masks, k))
+        assert c_key(masks, labels, k) == want, (masks, labels, k)
 
 
 def test_exact_ratio_rounds_as_int_division(tmp_path):
