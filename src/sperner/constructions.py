@@ -94,6 +94,12 @@ class ProductParams:
                 raise BadSegmentSize(
                     f"got {len(self.segments)} segment sizes for k={self.k}"
                 )
+            for i, t in enumerate(self.segments):
+                # bool is an int subclass but never a size
+                if isinstance(t, bool) or not isinstance(t, int):
+                    raise BadSegmentSize(
+                        f"segment size {t!r} on block {i + 1} must be an integer"
+                    )
 
     def block_sizes(self) -> tuple[int, ...]:
         q, r = divmod(self.n, self.k)

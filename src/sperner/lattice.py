@@ -97,12 +97,19 @@ class Family:
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "Family":
-        masks = list(masks)
+        """The family of the given masks; repeats collapse.  A list is
+        read in place, any other iterable copied once.  The range is
+        checked before any buffer is sized."""
+        if not isinstance(masks, list):
+            masks = list(masks)
         top = 1 << n
-        if masks and not (0 <= min(masks) and max(masks) < top):
+        if not masks:
+            return cls(n, 0)
+        hi = max(masks)
+        if not (0 <= min(masks) and hi < top):
             m = next(m for m in masks if not 0 <= m < top)
             raise BadGround(f"mask {m} outside the n={n} lattice")
-        return cls(n, bits_of(masks))
+        return cls(n, _write_bits(masks, hi + 1))
 
     @cached_property
     def size(self) -> int:
@@ -147,16 +154,23 @@ def bit_positions(bits: int) -> list[int]:
 def bits_of(positions) -> int:
     """The int whose set bits are the given positions; the inverse of
     bit_positions.  Repeats collapse.  A negative position raises
-    ValueError, as a negative shift does.
-
-    Writes binary digits, least significant first, into a bytearray and
-    parses them once; int() reads base 2 in linear time.  A list is read
-    in place, any other iterable copied once."""
+    ValueError, as a negative shift does.  A list is read in place, any
+    other iterable copied once."""
     if not isinstance(positions, list):
         positions = list(positions)
-    if min(positions, default=0) < 0:
-        raise ValueError(f"negative bit position {min(positions)}")
-    digits = bytearray(b"0") * (max(positions, default=0) + 1)
+    if not positions:
+        return 0
+    lo = min(positions)
+    if lo < 0:
+        raise ValueError(f"negative bit position {lo}")
+    return _write_bits(positions, max(positions) + 1)
+
+
+def _write_bits(positions: list[int], width: int) -> int:
+    """bits_of for positions already known to lie in 0..width-1: writes
+    binary digits, least significant first, into a bytearray and parses
+    them once; int() reads base 2 in linear time."""
+    digits = bytearray(b"0") * width
     for p in positions:
         digits[p] = 49  # ord("1")
     return int(digits[::-1], 2)

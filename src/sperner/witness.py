@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from itertools import islice
+from operator import eq
 from typing import Any, Iterator
 
 from .errors import WitnessFormatError
@@ -73,8 +75,8 @@ _MASK_SEP = ",\n      "
 
 def _witness_chunks(payload: dict[str, Any]) -> Iterator[str]:
     """The canonical text in pieces, the one serializer: json.dumps for
-    every key but families, then each family joined in C one block of
-    masks at a time.  The pieces concatenate to
+    every key but families, then each family formatted in C, one printf
+    over a block of masks at a time.  The pieces concatenate to
     json.dumps(payload, sort_keys=True, indent=2) + "\n"."""
     text = json.dumps({**payload, "families": None}, **_JSON_FORMAT)
     head, _, tail = text.partition(_FAMILIES_KEY + "null")
@@ -87,7 +89,8 @@ def _witness_chunks(payload: dict[str, Any]) -> Iterator[str]:
         else:
             sep = lead + "[\n      "
             for start in range(0, len(fam), _BLOCK):
-                yield sep + _MASK_SEP.join(map(str, fam[start:start + _BLOCK]))
+                block = tuple(fam[start:start + _BLOCK])
+                yield sep + _MASK_SEP.join(["%d"] * len(block)) % block
                 sep = _MASK_SEP
             yield "\n    ]"
         lead = ",\n    "
@@ -176,32 +179,29 @@ def parse_witness(text: str) -> dict[str, Any]:
     for i, fam in enumerate(families):
         if not isinstance(fam, list) or not fam:
             _fail(f"family {i} must be a non-empty list")
-        # the whole family at C speed; the walk below only runs to name
-        # the first offender when one of these fails
-        if (
-            encoding == "mask"
-            and set(map(type, fam)) == {int}
-            and 0 < min(fam)
-            and max(fam) < top
-            and bits_of(fam).bit_count() == len(fam)
-        ):
-            norm.append(sorted(fam))
-            continue
-        masks: list[int] = []
-        for item in fam:
-            if encoding == "mask":
-                m = _check_int(item, f"mask in family {i}")
-            else:
-                m = _mask_from_elements(item, n, f"set in family {i}")
-            if not 0 < m < top:
-                _fail(
-                    f"mask {m} in family {i} is not a proper non-empty "
-                    f"subset of [{n}]"
-                )
-            masks.append(m)
-        if bits_of(masks).bit_count() != len(masks):
+        # the whole family sorted once at C speed, its range read off
+        # the ends; the walk in file order only runs to name the first
+        # offender when the types or the range fail
+        masks = None
+        if encoding == "mask" and set(map(type, fam)) == {int}:
+            masks = sorted(fam)
+        if masks is None or not (0 < masks[0] and masks[-1] < top):
+            masks = []
+            for item in fam:
+                if encoding == "mask":
+                    m = _check_int(item, f"mask in family {i}")
+                else:
+                    m = _mask_from_elements(item, n, f"set in family {i}")
+                if not 0 < m < top:
+                    _fail(
+                        f"mask {m} in family {i} is not a proper non-empty "
+                        f"subset of [{n}]"
+                    )
+                masks.append(m)
+            masks.sort()
+        if any(map(eq, masks, islice(masks, 1, None))):
             _fail(f"family {i} repeats a set")
-        norm.append(sorted(masks))
+        norm.append(masks)
     norm.sort()
 
     measures = payload["measures"]

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,43 @@ def test_verify_mixed_files_fail_together(tmp_path, capsys):
 
 def test_verify_missing_file_is_usage_error(capsys):
     assert run("verify", "/nonexistent/w.json") == 2
+
+
+def test_traced_witness_names_stay_on_the_paths(tmp_path, monkeypatch):
+    # the benchmark's tracer replaces these attributes through
+    # owner.__dict__: each must resolve there, and all but dumps_witness
+    # (which the CLI only keeps for the tracer) must be called by
+    # construct --out and verify
+    from sperner import cli, witness
+    from sperner.lattice import Family, FamilyTuple
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ["parse_witness", "check_witness", "witness_payload",
+             "dumps_witness", "write_witness"]
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, cli.__dict__[name]))
+    monkeypatch.setattr(witness, "is_cross_sperner",
+                        counted("is_cross_sperner",
+                                witness.__dict__["is_cross_sperner"]))
+    monkeypatch.setattr(Family, "from_masks", classmethod(
+        counted("from_masks", Family.__dict__["from_masks"].__func__)))
+    monkeypatch.setattr(FamilyTuple, "canonical_key",
+                        counted("canonical_key",
+                                FamilyTuple.__dict__["canonical_key"]))
+    out = tmp_path / "w.json"
+    assert run("construct", "product", "--n", "6", "--k", "3",
+               "--out", str(out)) == 0
+    assert run("verify", str(out)) == 0
+    assert set(calls) == {"parse_witness", "check_witness", "witness_payload",
+                          "write_witness", "is_cross_sperner", "from_masks",
+                          "canonical_key"}
 
 
 # search

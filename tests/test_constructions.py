@@ -141,6 +141,20 @@ def test_product_custom_segments_checked():
         build_product_tuple(ProductParams(6, 3, (4, 1, 1)))
 
 
+@pytest.mark.parametrize(
+    "segments,message",
+    [
+        ((2.0, 2, 2), "segment size 2.0 on block 1 must be an integer"),
+        ((True, 2, 2), "segment size True on block 1 must be an integer"),
+        ((2, 2, 2.5), "segment size 2.5 on block 3 must be an integer"),
+    ],
+)
+def test_product_segment_sizes_must_be_integers(segments, message):
+    with pytest.raises(BadSegmentSize) as e:
+        ProductParams(6, 3, segments)
+    assert str(e.value) == message
+
+
 def test_product_rejects_bad_width():
     with pytest.raises(BadGround):
         ProductParams(6, 1)

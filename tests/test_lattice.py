@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -76,12 +77,27 @@ def test_mask_rejects_out_of_range():
 
 @pytest.mark.parametrize(
     "masks,bad",
-    [([1, 8, -1], 8), ([1, -1, 8], -1), ([7, 9000], 9000), (iter([2, 3, 8]), 8)],
+    [
+        ([1, 8, -1], 8),
+        ([1, -1, 8], -1),
+        ([7, 9000], 9000),
+        (iter([2, 3, 8]), 8),
+        ([2**40], 2**40),
+        ([-1], -1),
+        ((m for m in (5, 2**40, -1)), 2**40),
+    ],
 )
 def test_from_masks_names_the_first_mask_outside(masks, bad):
-    with pytest.raises(BadGround) as e:
-        Family.from_masks(3, masks)
+    # the range is checked before any buffer is sized by the masks
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadGround) as e:
+            Family.from_masks(3, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert str(e.value) == f"mask {bad} outside the n=3 lattice"
+    assert peak < 1 << 16
 
 
 def test_from_masks_accepts_any_iterable():

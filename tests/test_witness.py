@@ -6,9 +6,11 @@ import pytest
 from sperner.cli import _emit_witness
 
 from sperner.constructions import (
+    PrefixParams,
     ProductParams,
     SumParams,
     build_pair_sum,
+    build_prefix_tuple,
     build_product_tuple,
     build_sum_tuple,
 )
@@ -49,6 +51,23 @@ def test_round_trip_is_byte_identical(payload):
     again = dumps_witness(parse_witness(text))
     assert again == text
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_product_tuple(ProductParams(14, 3)),
+        lambda: build_sum_tuple(SumParams(14, 2)),
+        lambda: build_prefix_tuple(PrefixParams(14, 4)),
+    ],
+    ids=["product", "sum", "prefix"],
+)
+def test_construction_round_trip_is_byte_identical(build):
+    p = witness_payload(build(), provenance={"builder": "x"},
+                        created="2026-01-01T00:00:00Z")
+    text = dumps_witness(p)
+    assert text == _reference(p)
+    assert dumps_witness(parse_witness(text)) == text
 
 
 def test_file_round_trip(tmp_path, payload):
@@ -96,6 +115,17 @@ def _synthetic(families, **extra):
 def test_dumps_matches_json_across_block_edges(size):
     p = _synthetic([list(range(1, size + 1)), [7], list(range(3, 3 * size, 3))])
     assert dumps_witness(p) == _reference(p)
+
+
+def test_dumps_matches_json_at_the_top_of_n20():
+    # masks up to 2^20 - 2, the largest proper subset, in a family of
+    # exactly one block and in one spanning several
+    top = 2**20 - 1
+    p = _synthetic([list(range(3, top, 97)),
+                    list(range(top - _BLOCK, top))])
+    text = dumps_witness(p)
+    assert text == _reference(p)
+    assert dumps_witness(parse_witness(text)) == text
 
 
 @pytest.mark.parametrize(
@@ -233,6 +263,24 @@ def _large(bad):
 def test_bulk_parse_names_the_offender(bad, message):
     with pytest.raises(WitnessFormatError) as e:
         parse_witness(_large(bad))
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        # the first offender in file order, not the least
+        ([5, 0, -3], "mask 0 in family 1 is not a proper non-empty subset of [3]"),
+        ([5, 7, True], "mask 7 in family 1 is not a proper non-empty subset of [3]"),
+        ([5, 3, 5], "family 1 repeats a set"),
+        ([5, 9, 3, 5], "mask 9 in family 1 is not a proper non-empty subset of [3]"),
+    ],
+)
+def test_parse_names_offenders_in_file_order(family, message):
+    doc = _base()
+    doc["families"] = [[2], family]
+    with pytest.raises(WitnessFormatError) as e:
+        parse_witness(json.dumps(doc))
     assert str(e.value) == message
 
 
