@@ -1,7 +1,7 @@
 """ctypes bindings of the compiled search kernels (ckernels.c).
 
 `Library(path)` loads one built copy of the C library, which exports
-three functions, one per kernel, and exposes the kernel contract of
+four functions, one per kernel, and exposes the kernel contract of
 `_kernels_py`: the same arguments, and results that compare `==`-equal,
 labelings returned as bytes like theirs.  The annealer places the proper
 masks of its ground, 1..2**n - 2, as the pure one does.  ctypes releases
@@ -30,6 +30,9 @@ _WORD = 64
 _MASK64 = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
 _VALUE_LIMBS = 160  # ckernels.c VALUE_LIMBS
+# the Dedekind numbers, the upsets of P([n]) for n = 0..6, where one
+# 64-bit word per family runs out (ckernels.c UPSET_MAX_GROUND)
+_UPSET_COUNTS = (2, 3, 6, 20, 168, 7581, 7828354)
 
 _SIGNATURES = {
     "sperner_comp_scan": (None, [
@@ -45,6 +48,8 @@ _SIGNATURES = {
         c_int, c_int, c_int, c_int, POINTER(c_uint8), c_uint64, c_int64,
         c_double, c_double, c_int64, POINTER(c_uint32), c_int, c_double,
         POINTER(c_uint32), POINTER(c_uint8), POINTER(c_int64), POINTER(c_uint64)]),
+    "sperner_upset_orbits": (c_int64, [
+        c_int, c_int64, POINTER(c_uint64), POINTER(c_int64), POINTER(c_int64)]),
 }
 
 
@@ -90,6 +95,20 @@ class Library:
             fns[name].restype = restype
             fns[name].argtypes = argtypes
         self._lib = lib
+
+    def upset_orbits(self, n):
+        """Same contract as the pure version, for n up to the engine's
+        TABLE_MAX_GROUND, into buffers of the Dedekind number's length."""
+        from .engine import TABLE_MAX_GROUND  # a late import: engine imports this module
+
+        _check(0 <= n <= TABLE_MAX_GROUND,
+               f"upset_orbits needs 0 <= n <= {TABLE_MAX_GROUND}, got {n}")
+        cap = _UPSET_COUNTS[n]
+        ups = (c_uint64 * cap)()
+        firsts = (c_int64 * cap)()
+        n_firsts = c_int64()
+        count = self._lib.sperner_upset_orbits(n, cap, ups, firsts, byref(n_firsts))
+        return ups[:count], firsts[:n_firsts.value]
 
     def comp_scan(self, upsets, usizes, downsets, dsizes, total):
         """Same contract as the pure version: per intersection size t, the

@@ -30,6 +30,7 @@ def _library_path() -> str:
 _library = Library(_library_path())
 
 BACKEND = _library.BACKEND
+upset_orbits = _library.upset_orbits
 comp_scan = _library.comp_scan
 exact_search = _library.exact_search
 anneal_chain = _library.anneal_chain

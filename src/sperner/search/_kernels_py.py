@@ -1,12 +1,13 @@
 """Pure Python search kernels.
 
-Reference implementations of the three hot loops: the monotone-pair scan
-behind the comparability table, the exact label-assignment DFS, and the
-annealing chain.  The compiled module mirrors these semantics operation
-for operation (same RNG, same tie-breaks, same float expressions), so a
-given seed walks the same trajectory on either backend.  Both annealers
-look at the clock before every step, and both DFS kernels every 4096
-nodes.  On both backends a labeling is bytes, one label per mask.
+Reference implementations of the four hot loops: the upset enumeration
+and its S_n orbits, the monotone-pair scan behind the comparability
+table, the exact label-assignment DFS, and the annealing chain.  The
+compiled module mirrors these semantics operation for operation (same
+RNG, same tie-breaks, same float expressions), so a given seed walks the
+same trajectory on either backend.  Both annealers look at the clock
+before every step, and both DFS kernels every 4096 nodes.  On both
+backends a labeling is bytes, one label per mask.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import time
 
 from ..lattice import (_comparable_bits, _label_bits, _positions_with_bit,
-                       bit_positions, family_universe)
+                       bit_positions, bits_of, family_universe)
 
 BACKEND = "pure"
 
@@ -43,6 +44,88 @@ def _rand_below(state: int, bound: int) -> tuple[int, int]:
 def _rand_unit(state: int) -> tuple[int, float]:
     state, z = sm64_next(state)
     return state, (z >> 11) * (2.0**-53)
+
+
+# -- upsets of P([n]) and their S_n orbits ---------------------------------
+
+
+def upset_orbits(n):
+    """Every upset bitset of P([n]), in enumeration order, and the
+    ascending indices of the first upset of each S_n orbit.
+
+    The order is a depth-first walk over the masks sorted by (-popcount,
+    mask), include branch first, so upsets come in descending order of
+    their bits read in that mask order.  The compiled kernel uses this to
+    test each upset on its own; here a seen set marks whole orbits.
+    """
+    ups = _upset_bits(n)
+    return ups, _orbit_firsts(ups, n)
+
+
+def _upset_bits(n: int) -> list[int]:
+    total = 1 << n
+    order = sorted(range(total), key=lambda m: (-(m.bit_count()), m))
+    # the immediate supersets of each mask, as one bitset over masks
+    need = [sum(1 << (m | 1 << b) for b in range(n) if not m >> b & 1)
+            for m in order]
+    out: list[int] = []
+
+    def rec(i: int, bits: int) -> None:
+        # masks missing an immediate superset can only be left out
+        while i < total and bits & need[i] != need[i]:
+            i += 1
+        if i == total:
+            out.append(bits)
+            return
+        rec(i + 1, bits | (1 << order[i]))
+        rec(i + 1, bits)
+
+    rec(0, 0)
+    return out
+
+
+def _heap_swaps(n: int) -> list[tuple[int, int]]:
+    """The n! - 1 transpositions (a, b), a < b, of Heap's algorithm:
+    applied one after another they visit every permutation of [n] once."""
+    swaps = []
+    c = [0] * n
+    i = 1
+    while i < n:
+        if c[i] < i:
+            swaps.append((0 if i % 2 == 0 else c[i], i))
+            c[i] += 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
+    return swaps
+
+
+def _orbit_firsts(ups: list[int], n: int) -> list[int]:
+    """The index of the first upset of each S_n orbit in ups, ascending.
+
+    Swapping elements a < b of the ground set exchanges mask m, which has
+    a and not b, with m + 2**b - 2**a, so it acts on a bitset over the
+    2**n masks as one delta swap.  Walking Heap's transpositions from a
+    new upset visits its whole orbit.
+    """
+    total = 1 << n
+    swaps = []
+    for a, b in _heap_swaps(n):
+        moved = bits_of([m for m in range(total) if m >> a & 1 and not m >> b & 1])
+        swaps.append((moved, (1 << b) - (1 << a)))
+    seen: set[int] = set()
+    firsts = []
+    for i, u in enumerate(ups):
+        if u in seen:
+            continue
+        firsts.append(i)
+        seen.add(u)
+        for moved, delta in swaps:
+            x = (u >> delta ^ u) & moved
+            u ^= x ^ x << delta
+            seen.add(u)
+    return firsts
 
 
 # -- monotone pair scan ------------------------------------------------------

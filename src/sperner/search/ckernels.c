@@ -31,10 +31,16 @@
  * instruction, and the loader picks one for the CPU; other compilers and
  * targets build them once, in plain C99.
  *
- * The library exports three functions, sperner_comp_scan,
- * sperner_exact_search and sperner_anneal_chain.  _clib.py binds them with
- * ctypes and, before each call, checks every argument that sizes or
- * indexes a buffer; the kernels trust them.
+ * The upset kernel runs the pure kernel's DFS over the upsets of P([n]),
+ * n <= 6, one 64-bit word each, and keeps the first upset of each S_n
+ * orbit by the lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR
+ * 1996): an upset comes first when no permutation of the ground set
+ * raises its key, so the test needs no memory of earlier upsets.
+ *
+ * The library exports four functions, sperner_upset_orbits,
+ * sperner_comp_scan, sperner_exact_search and sperner_anneal_chain.
+ * _clib.py binds them with ctypes and, before each call, checks every
+ * argument that sizes or indexes a buffer; the kernels trust them.
  * Deadlines arrive as seconds left, measured on this file's own
  * monotonic clock.  Build with `python setup.py build_ext --inplace`.
  * Compile in a standard mode (-std=c99): GCC then keeps floating-point
@@ -130,6 +136,128 @@ static uint64_t rand_below(uint64_t *state, uint64_t bound)
 static double rand_unit(uint64_t *state)
 {
     return (sm64(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* -- upsets of P([n]) and their S_n orbits -------------------------------- */
+
+/* a family of subsets of [n] fits one 64-bit word for n <= 6, and Heap's
+ * algorithm walks S_6 in 6! - 1 transpositions */
+#define UPSET_MAX_GROUND 6
+#define MAX_SWAPS 719
+
+typedef struct {
+    int n;
+    int total;
+    int order[64];     /* masks by descending popcount, then ascending */
+    uint64_t need[64]; /* the immediate supersets of order[i] */
+    uint64_t level[UPSET_MAX_GROUND + 1]; /* the masks of each popcount */
+    int n_swaps;
+    uint64_t moved[MAX_SWAPS]; /* swap (a, b): the masks with a and not b */
+    int delta[MAX_SWAPS];      /* swap (a, b): 2**b - 2**a */
+    int64_t cap;
+    uint64_t *ups;
+    int64_t *firsts;
+    int64_t count;
+    int64_t n_firsts;
+} Upsets;
+
+/* Whether u comes first in its S_n orbit.  The DFS yields upsets in
+ * descending order of their key, the bits read in `order`, so u comes
+ * first when no image has a larger key.  Images share u's count on each
+ * level, so the first level, from the top, where one differs from u
+ * decides, and in it the lowest differing mask.  Heap's delta swaps walk
+ * every image, and the walk stops at the first larger one. */
+static int orbit_first(const Upsets *s, uint64_t u)
+{
+    uint64_t v = u, x, d;
+    int i, r;
+    for (i = 0; i < s->n_swaps; i++) {
+        x = ((v >> s->delta[i]) ^ v) & s->moved[i];
+        v ^= x ^ (x << s->delta[i]);
+        for (r = s->n; r >= 0; r--) {
+            d = (u ^ v) & s->level[r];
+            if (d) {
+                if (v & d & (~d + 1))
+                    return 0;
+                break;
+            }
+        }
+    }
+    return 1;
+}
+
+/* the include-first DFS over order from index i */
+static void upsets_from(Upsets *s, int i, uint64_t bits)
+{
+    /* masks missing an immediate superset can only be left out */
+    while (i < s->total && (bits & s->need[i]) != s->need[i])
+        i++;
+    if (i == s->total) {
+        if (s->count < s->cap)
+            s->ups[s->count] = bits;
+        if (orbit_first(s, bits)) {
+            if (s->count < s->cap)
+                s->firsts[s->n_firsts] = s->count;
+            s->n_firsts++;
+        }
+        s->count++;
+        return;
+    }
+    upsets_from(s, i + 1, bits | (uint64_t)1 << s->order[i]);
+    upsets_from(s, i + 1, bits);
+}
+
+/* Every upset of P([n]), n <= UPSET_MAX_GROUND, in the pure kernel's
+ * order, and the ascending indices of the first upset of each S_n orbit.
+ * The first cap upsets go to ups, and the indices among them to firsts,
+ * which holds cap too.  Returns the number of upsets and sets *n_firsts
+ * to the number of orbits. */
+int64_t sperner_upset_orbits(int n, int64_t cap, uint64_t *ups, int64_t *firsts,
+                             int64_t *n_firsts)
+{
+    Upsets s;
+    int pc[64], c[UPSET_MAX_GROUND] = {0};
+    int m, r, i, a, b, k = 0;
+    memset(&s, 0, sizeof(s));
+    s.n = n;
+    s.total = 1 << n;
+    /* popcounts by recurrence, so that no popcount call sits outside a
+     * POPCNT clone */
+    pc[0] = 0;
+    for (m = 1; m < s.total; m++)
+        pc[m] = pc[m >> 1] + (m & 1);
+    for (r = n; r >= 0; r--)
+        for (m = 0; m < s.total; m++)
+            if (pc[m] == r) {
+                s.level[r] |= (uint64_t)1 << m;
+                s.order[k++] = m;
+            }
+    for (i = 0; i < s.total; i++)
+        for (b = 0; b < n; b++)
+            if (!((s.order[i] >> b) & 1))
+                s.need[i] |= (uint64_t)1 << (s.order[i] | 1 << b);
+    /* Heap's algorithm, transposition by transposition, as _heap_swaps */
+    i = 1;
+    while (i < n) {
+        if (c[i] < i) {
+            a = i % 2 == 0 ? 0 : c[i];
+            for (m = 0; m < s.total; m++)
+                if (((m >> a) & 1) && !((m >> i) & 1))
+                    s.moved[s.n_swaps] |= (uint64_t)1 << m;
+            s.delta[s.n_swaps++] = (1 << i) - (1 << a);
+            c[i]++;
+            i = 1;
+        } else {
+            c[i] = 0;
+            i++;
+        }
+    }
+    s.cap = cap;
+    s.ups = ups;
+    s.firsts = firsts;
+    upsets_from(&s, 0, 0);
+    *n_firsts = s.n_firsts;
+    return s.count;
 }
 
 /* -- monotone pair scan --------------------------------------------------- */

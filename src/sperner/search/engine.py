@@ -151,79 +151,22 @@ def enumerate_upsets(n: int) -> list[Family]:
     check_ground(n)
     if n > TABLE_MAX_GROUND:
         raise GroundTooLarge(f"upset enumeration supports n <= {TABLE_MAX_GROUND}")
-    return [Family(n, bits) for bits in _upset_bits(n)]
+    ups, _ = _upset_bits(n)
+    return [Family(n, bits) for bits in ups]
 
 
-def _upset_bits(n: int) -> list[int]:
-    total = 1 << n
-    order = sorted(range(total), key=lambda m: (-(m.bit_count()), m))
-    # the immediate supersets of each mask, as one bitset over masks
-    need = [sum(1 << (m | 1 << b) for b in range(n) if not m >> b & 1)
-            for m in order]
-    out: list[int] = []
-
-    def rec(i: int, bits: int) -> None:
-        # masks missing an immediate superset can only be left out
-        while i < total and bits & need[i] != need[i]:
-            i += 1
-        if i == total:
-            out.append(bits)
-            return
-        rec(i + 1, bits | (1 << order[i]))
-        rec(i + 1, bits)
-
-    rec(0, 0)
-    return out
+def _upset_bits(n: int) -> tuple[list[int], list[int]]:
+    """The upset bitsets of P([n]) in enumeration order, and the ascending
+    indices of the first upset of each S_n orbit, from the selected
+    kernels' `upset_orbits`."""
+    kern, _ = _select()
+    return kern.upset_orbits(n)
 
 
 def _reflect_bits(bits: int, total: int) -> int:
     # complementing every member turns an upset bitset into a downset one;
     # mask p becomes total - 1 - p, which reverses the total-bit string
     return int(format(bits, f"0{total}b")[::-1], 2)
-
-
-def _heap_swaps(n: int) -> list[tuple[int, int]]:
-    """The n! - 1 transpositions (a, b), a < b, of Heap's algorithm:
-    applied one after another they visit every permutation of [n] once."""
-    swaps = []
-    c = [0] * n
-    i = 1
-    while i < n:
-        if c[i] < i:
-            swaps.append((0 if i % 2 == 0 else c[i], i))
-            c[i] += 1
-            i = 1
-        else:
-            c[i] = 0
-            i += 1
-    return swaps
-
-
-def _orbit_firsts(ups: list[int], n: int) -> list[int]:
-    """The index of the first upset of each S_n orbit in ups, ascending.
-
-    Swapping elements a < b of the ground set exchanges mask m, which has
-    a and not b, with m + 2**b - 2**a, so it acts on a bitset over the
-    2**n masks as one delta swap.  Walking Heap's transpositions from a
-    new upset visits its whole orbit.
-    """
-    total = 1 << n
-    swaps = []
-    for a, b in _heap_swaps(n):
-        moved = bits_of([m for m in range(total) if m >> a & 1 and not m >> b & 1])
-        swaps.append((moved, (1 << b) - (1 << a)))
-    seen: set[int] = set()
-    firsts = []
-    for i, u in enumerate(ups):
-        if u in seen:
-            continue
-        firsts.append(i)
-        seen.add(u)
-        for moved, delta in swaps:
-            x = (u >> delta ^ u) & moved
-            u ^= x ^ x << delta
-            seen.add(u)
-    return firsts
 
 
 def min_comparability_table(n: int) -> CompTable:
@@ -249,9 +192,7 @@ def min_comparability_table(n: int) -> CompTable:
     if n > TABLE_MAX_GROUND:
         raise GroundTooLarge(f"comparability table supports n <= {TABLE_MAX_GROUND}")
     total = 1 << n
-    ups = _upset_bits(n)
-    # found before the downsets are made, which reuse the memory of its seen set
-    firsts = _orbit_firsts(ups, n)
+    ups, firsts = _upset_bits(n)
     usizes = [b.bit_count() for b in ups]
     downs = [_reflect_bits(b, total) for b in ups]
     kern, _ = _select()

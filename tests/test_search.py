@@ -24,6 +24,7 @@ from sperner.lattice import (
 )
 from sperner.search import (
     BACKEND,
+    TABLE_MAX_GROUND,
     SearchConfig,
     anneal_max_product,
     anneal_max_sum,
@@ -32,12 +33,7 @@ from sperner.search import (
     exact_max_sum,
     min_comparability_table,
 )
-from sperner.search.engine import (
-    _orbit_firsts,
-    _reflect_bits,
-    _upset_bits,
-    resolve_threads,
-)
+from sperner.search.engine import _reflect_bits, resolve_threads
 
 from .oracles import (
     count_upsets,
@@ -57,14 +53,36 @@ DEDEKIND = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 # monotone enumeration
 
 
-def test_upset_counts_match_known_sequence():
+@pytest.fixture(scope="session")
+def every_backend(request):
+    """The kernels of every backend at hand: the pure ones, the in-place
+    build when there is one, and a fresh gcc build when gcc is present."""
+    from sperner.search import _kernels_py
+
+    out = [_kernels_py]
+    try:
+        from sperner.search import _kernels
+    except ImportError:
+        pass
+    else:
+        out.append(_kernels)
+    if shutil.which("gcc") is not None:
+        out.append(request.getfixturevalue("gcc_kernels"))
+    return out
+
+
+def test_upset_counts_match_known_sequence(every_backend):
     for n, expected in DEDEKIND.items():
         assert len(enumerate_upsets(n)) == expected
+        for kern in every_backend:
+            assert len(kern.upset_orbits(n)[0]) == expected
 
 
-def test_upset_counts_match_brute_oracle():
+def test_upset_counts_match_brute_oracle(every_backend):
     for n in range(4):
         assert len(enumerate_upsets(n)) == count_upsets(n)
+        for kern in every_backend:
+            assert len(kern.upset_orbits(n)[0]) == count_upsets(n)
 
 
 def test_enumerated_families_are_upsets_and_distinct():
@@ -85,31 +103,34 @@ def test_upset_enumeration_gated():
 
 
 @pytest.mark.parametrize("n", range(6))
-def test_upset_bits_order_matches_recursive_oracle(n):
-    assert _upset_bits(n) == upset_bits_recursive(n)
+def test_upset_bits_order_matches_recursive_oracle(n, every_backend):
+    for kern in every_backend:
+        assert kern.upset_orbits(n)[0] == upset_bits_recursive(n)
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_reflect_bits_matches_position_oracle(n):
     total = 1 << n
-    for bits in _upset_bits(n):
+    for bits in upset_bits_recursive(n):
         assert _reflect_bits(bits, total) == reflect_bits_by_positions(bits, total)
 
 
 # S_n orbits of upsets
 
-A003182 = {1: 3, 2: 5, 3: 10, 4: 30, 5: 210}
+A003182 = {0: 2, 1: 3, 2: 5, 3: 10, 4: 30, 5: 210}
 
 
 @pytest.mark.parametrize("n", sorted(A003182))
-def test_orbit_counts_match_known_sequence(n):
-    assert len(_orbit_firsts(_upset_bits(n), n)) == A003182[n]
+def test_orbit_counts_match_known_sequence(n, every_backend):
+    for kern in every_backend:
+        assert len(kern.upset_orbits(n)[1]) == A003182[n]
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_orbit_firsts_match_permutation_oracle(n):
-    ups = _upset_bits(n)
-    assert _orbit_firsts(ups, n) == orbit_firsts_brute(ups, n)
+def test_orbit_firsts_match_permutation_oracle(n, every_backend):
+    for kern in every_backend:
+        ups, firsts = kern.upset_orbits(n)
+        assert firsts == orbit_firsts_brute(ups, n)
 
 
 # comparability tables
@@ -562,13 +583,14 @@ def test_results_report_pure_without_the_library():
 
 def _comp_args(n, orbit_firsts=False):
     # orbit_firsts passes the upsets the comparability table scans
+    from sperner.search import _kernels_py
+
     total = 1 << n
-    ups = _upset_bits(n)
+    ups, firsts = _kernels_py.upset_orbits(n)
     usizes = [b.bit_count() for b in ups]
     downs = [_reflect_bits(b, total) for b in ups]
     if not orbit_firsts:
         return ups, usizes, downs, usizes, total
-    firsts = _orbit_firsts(ups, n)
     return ([ups[i] for i in firsts], [usizes[i] for i in firsts],
             downs, usizes, total)
 
@@ -657,6 +679,10 @@ class TestBackendParity:
         assert self.pure.BACKEND == "pure"
         assert self.fast.BACKEND == "compiled"
         assert BACKEND in ("pure", "compiled")
+
+    def test_upset_orbits_identical(self):
+        for n in range(TABLE_MAX_GROUND + 1):
+            assert self.fast.upset_orbits(n) == self.pure.upset_orbits(n), n
 
     def test_comp_scan_identical(self, comp_parity):
         for args, pure in comp_parity:
@@ -837,6 +863,25 @@ def test_key_walk_matches_canonical_key(tmp_path):
     for masks, labels, k in cases:
         want = flat(_canonical_key(labels, masks, k))
         assert c_key(masks, labels, k) == want, (masks, labels, k)
+
+
+def test_upset_orbits_at_six(tmp_path):
+    # past the engine's gate, the C enumeration with its memoryless orbit
+    # test: every upset of P([6]), the Dedekind number, and one first per
+    # S_6 orbit, A003182(6); a capacity of 0 stores neither
+    import ctypes
+
+    count = _probe(tmp_path, """
+        int64_t probe(int64_t *n_firsts)
+        {
+            return sperner_upset_orbits(6, 0, NULL, NULL, n_firsts);
+        }
+    """)
+    count.argtypes = [ctypes.POINTER(ctypes.c_int64)]
+    count.restype = ctypes.c_int64
+    n_firsts = ctypes.c_int64()
+    assert count(ctypes.byref(n_firsts)) == 7_828_354
+    assert n_firsts.value == 16_353
 
 
 def test_exact_ratio_rounds_as_int_division(tmp_path):
@@ -1038,11 +1083,20 @@ class TestCompiledGuards:
         with pytest.raises(ValueError, match="total <= 64"):
             gcc_kernels.comp_scan([1], [1], [1], [1], 65)
 
+    def test_upset_orbits_rejects_ground_outside_table(self, gcc_library):
+        from sperner.search._clib import Library
 
-# the kernel contract: the three kernels take the same parameters on every
+        lib = Library(gcc_library)
+        lib._lib = None  # a call into C would raise AttributeError
+        for n in (-1, TABLE_MAX_GROUND + 1):
+            with pytest.raises(ValueError, match=f"0 <= n <= {TABLE_MAX_GROUND}"):
+                lib.upset_orbits(n)
+
+
+# the kernel contract: the four kernels take the same parameters on every
 # backend, and the library exports them and nothing else
 
-KERNELS = ("comp_scan", "exact_search", "anneal_chain")
+KERNELS = ("upset_orbits", "comp_scan", "exact_search", "anneal_chain")
 
 
 @pytest.mark.parametrize("backend", ["in-place", "gcc"])
@@ -1115,9 +1169,11 @@ def _ubsan_build(gcc, source, lib):
 
 
 def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity):
-    # the parity cases on a sanitized build, in a process of their own
-    # since a check that fires aborts it; the 64-mask case shifts rows by
-    # up to 63 bits
+    # the parity cases and the upsets of every gated ground on a sanitized
+    # build, in a process of their own since a check that fires aborts it;
+    # the 64-mask case shifts rows by up to 63 bits
+    from sperner.search import _kernels_py
+
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
@@ -1133,7 +1189,8 @@ def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity
     lib = _ubsan_build(gcc, CKERNELS_C, tmp_path / "_ckernels.so")
     calls = tmp_path / "calls.json"
     calls.write_text(json.dumps({"exact": [args for args, _ in exact_parity],
-                                 "comp": [args for args, _ in comp_parity]}))
+                                 "comp": [args for args, _ in comp_parity],
+                                 "upsets": list(range(TABLE_MAX_GROUND + 1))}))
     code = textwrap.dedent("""
         import json, sys
         from sperner.search._clib import Library
@@ -1143,7 +1200,8 @@ def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity
         exact = [lib.exact_search(*args) for args in calls["exact"]]
         json.dump({"exact": [(b, labels and labels.hex(), nodes, done)
                              for b, labels, nodes, done in exact],
-                   "comp": [lib.comp_scan(*args) for args in calls["comp"]]},
+                   "comp": [lib.comp_scan(*args) for args in calls["comp"]],
+                   "upsets": [lib.upset_orbits(n) for n in calls["upsets"]]},
                   sys.stdout)
     """)
     proc = subprocess.run([sys.executable, "-c", code, lib, str(calls)], env=_src_env(),
@@ -1153,6 +1211,8 @@ def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity
     assert out["exact"] == [[b, labels and labels.hex(), nodes, done]
                             for _, (b, labels, nodes, done) in exact_parity]
     assert out["comp"] == [list(map(list, pure)) for _, pure in comp_parity]
+    assert out["upsets"] == [list(map(list, _kernels_py.upset_orbits(n)))
+                             for n in range(TABLE_MAX_GROUND + 1)]
 
 
 def test_unloadable_library_raises_import_error(tmp_path):
