@@ -410,8 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once at import: parse_args leaves the parser as it was, so every
+# main() call in a process shares it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args._run(args)
     except SpernerError as e:

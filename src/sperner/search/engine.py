@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
@@ -163,10 +164,22 @@ def _upset_bits(n: int) -> tuple[list[int], list[int]]:
     return kern.upset_orbits(n)
 
 
-def _reflect_bits(bits: int, total: int) -> int:
-    # complementing every member turns an upset bitset into a downset one;
-    # mask p becomes total - 1 - p, which reverses the total-bit string
-    return int(format(bits, f"0{total}b")[::-1], 2)
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reflect_bits(ups: list[int], total: int) -> list[int]:
+    """Each bitset of total <= 64 bits with its bit string reversed.
+
+    Complementing every member turns an upset bitset into a downset one:
+    mask p becomes total - 1 - p.  Reversing the bits of every byte and
+    then the bytes of every 64-bit word takes bit p to 63 - p; the shift
+    then takes it to total - 1 - p.
+    """
+    words = array("Q")
+    words.frombytes(array("Q", ups).tobytes().translate(_BYTE_REVERSED))
+    words.byteswap()
+    shift = 64 - total
+    return [w >> shift for w in words]
 
 
 def min_comparability_table(n: int) -> CompTable:
@@ -194,7 +207,7 @@ def min_comparability_table(n: int) -> CompTable:
     total = 1 << n
     ups, firsts = _upset_bits(n)
     usizes = [b.bit_count() for b in ups]
-    downs = [_reflect_bits(b, total) for b in ups]
+    downs = _reflect_bits(ups, total)
     kern, _ = _select()
     best, bu, bd = kern.comp_scan([ups[i] for i in firsts],
                                   [usizes[i] for i in firsts],

@@ -420,6 +420,48 @@ def test_bounds_json_format(capsys):
     assert by_id["pair-sum-upper"]["applicable"] is True
 
 
+# one parser per process: main() parses with the parser built at import
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "comp", "--n", "2..3"),
+    ("construct", "product", "--n", "5", "--k", "2"),
+    ("bounds", "--n", "6", "--k", "3"),
+])
+def test_same_argv_twice_prints_same_bytes(capsys, argv):
+    assert run(*argv) == 0
+    first = capsys.readouterr()
+    assert run(*argv) == 0
+    assert capsys.readouterr() == first
+
+
+def test_usage_error_leaves_next_call_alone(capsys):
+    assert run("search", "pi", "--n", "x", "--k", "2") == 2
+    assert "sperner search" in capsys.readouterr().err
+    assert run("search", "pi", "--n", "4", "--k", "2") == 0
+    captured = capsys.readouterr()
+    assert "value=16 status=proved" in captured.out and captured.err == ""
+
+
+def test_option_does_not_carry_over(capsys):
+    assert run("search", "pi", "--n", "4", "--k", "2", "--budget-nodes", "5") == 3
+    assert "status=stopped" in capsys.readouterr().out
+    assert run("search", "pi", "--n", "4", "--k", "2") == 0
+    assert "status=proved" in capsys.readouterr().out
+
+
+def test_main_does_not_build_a_parser(monkeypatch, capsys):
+    from sperner import cli
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert run("search", "pi", "--n", "4", "--k", "2") == 0
+    assert "status=proved" in capsys.readouterr().out
+    assert run("bounds", "--n", "6", "--k", "1") == 2
+
+
 # console entry point
 
 

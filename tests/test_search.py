@@ -108,11 +108,17 @@ def test_upset_bits_order_matches_recursive_oracle(n, every_backend):
         assert kern.upset_orbits(n)[0] == upset_bits_recursive(n)
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(7))
 def test_reflect_bits_matches_position_oracle(n):
+    # n = 6 reflects random 64-bit words: the top bit and full words too
     total = 1 << n
-    for bits in upset_bits_recursive(n):
-        assert _reflect_bits(bits, total) == reflect_bits_by_positions(bits, total)
+    if n < 6:
+        ups = upset_bits_recursive(n)
+    else:
+        rng = random.Random(6)
+        ups = [0, 1, (1 << 63), (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(200)]
+    assert _reflect_bits(ups, total) == [reflect_bits_by_positions(bits, total)
+                                         for bits in ups]
 
 
 # S_n orbits of upsets
@@ -588,7 +594,7 @@ def _comp_args(n, orbit_firsts=False):
     total = 1 << n
     ups, firsts = _kernels_py.upset_orbits(n)
     usizes = [b.bit_count() for b in ups]
-    downs = [_reflect_bits(b, total) for b in ups]
+    downs = _reflect_bits(ups, total)
     if not orbit_firsts:
         return ups, usizes, downs, usizes, total
     return ([ups[i] for i in firsts], [usizes[i] for i in firsts],
