@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
@@ -418,6 +417,10 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
         )
 
     if nogil:
+        # imported here, not at the top: no other path needs the pool or
+        # the logging it loads, and every command pays the top's imports
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as ex:
             outs = list(ex.map(run, seeds))
     else:

@@ -15,7 +15,7 @@ whether the recorded measures match is a semantic question answered by
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+import time
 from itertools import islice
 from operator import eq
 from typing import Any, Iterator
@@ -39,7 +39,7 @@ _REQUIRED_KEYS = _TOP_KEYS - {"provenance"}
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def witness_payload(

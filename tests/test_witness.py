@@ -1,5 +1,8 @@
+import calendar
 import hashlib
 import json
+import re
+import time
 
 import pytest
 
@@ -44,6 +47,13 @@ def test_payload_shape(payload):
     for fam in payload["families"]:
         assert fam == sorted(fam)
     assert set(payload["measures"]) == {"sum", "product"}
+
+
+def test_default_created_is_utc_now(payload):
+    created = payload["created"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", created)
+    stamp = calendar.timegm(time.strptime(created, "%Y-%m-%dT%H:%M:%SZ"))
+    assert abs(stamp - time.time()) <= 5
 
 
 def test_round_trip_is_byte_identical(payload):
