@@ -3,9 +3,9 @@
 Reference implementations of the four hot loops: the upset enumeration
 and its S_n orbits, the monotone-pair scan behind the comparability
 table, the exact label-assignment DFS, and the annealing chain.  The
-compiled module mirrors these semantics operation for operation (same
-RNG, same tie-breaks, same float expressions), so a given seed walks the
-same trajectory on either backend.  Both annealers look at the clock
+compiled module mirrors these semantics (same RNG draws, placements,
+tie-breaks and float expressions), so a given seed walks the same
+trajectory on either backend.  Both annealers look at the clock
 before every step, and both DFS kernels every 4096 nodes.  On both
 backends a labeling is bytes, one label per mask.
 """
@@ -290,7 +290,7 @@ def exact_search(k, product, masks, cmp_fwd, floor_value, target,
 
 class _AnnealState:
     __slots__ = ("n", "k", "total", "universe", "hi", "labels", "fams", "near",
-                 "counts", "support", "support_count")
+                 "stale", "counts", "support", "support_count")
 
     def __init__(self, n, k):
         self.n = n
@@ -301,6 +301,7 @@ class _AnnealState:
         self.labels = bytearray(self.total)
         self.fams = [0] * (k + 1)
         self.near = [0] * (k + 1)  # masks comparable to a member of each family
+        self.stale = set()  # families whose near awaits refresh()
         self.counts = [0] * (k + 1)
         self.support = 0
         self.support_count = 0
@@ -313,18 +314,28 @@ class _AnnealState:
         self.support_count = self.support.bit_count()
         for j in range(1, self.k + 1):
             self._reclose(j)
+        self.stale.clear()
 
     def _reclose(self, j):
         self.near[j] = _comparable_bits(self.fams[j], self.n)
+
+    def refresh(self):
+        """Reclose each stale family; runs wherever near is read, so every
+        read sees near as a function of fams alone."""
+        for j in self.stale:
+            self._reclose(j)
+        self.stale.clear()
 
     def snapshot(self):
         return (self.labels.copy(), self.fams.copy(), self.near.copy(),
                 self.counts.copy(), self.support, self.support_count)
 
     def restore(self, snap):
+        # snapshots are taken between steps, when no family is stale
         (self.labels, self.fams, self.near, self.counts, self.support,
          self.support_count) = (snap[0].copy(), snap[1].copy(), snap[2].copy(),
                                 snap[3].copy(), snap[4], snap[5])
+        self.stale.clear()
 
     def owner(self, m):
         """The placement rule: family j may take the unlabeled mask m exactly
@@ -338,6 +349,15 @@ class _AnnealState:
                     return -1
                 found = j
         return found
+
+    def contested(self):
+        """The masks near two or more families: an unlabeled one among them
+        has owner -1."""
+        once = twice = 0
+        for near in self.near[1:]:
+            twice |= once & near
+            once |= near
+        return twice
 
     def one(self, m):
         """The masks comparable to m alone: its supersets, which have every
@@ -366,7 +386,7 @@ class _AnnealState:
         self.counts[j] -= 1
         self.support &= ~(1 << m)
         self.support_count -= 1
-        self._reclose(j)
+        self.stale.add(j)
 
     def value(self, product):
         if product:
@@ -412,10 +432,16 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
     usable_bits = family_universe(n) ^ 1 ^ 1 << (total - 1)
 
     def fill(state):
+        st.refresh()
         order = list(usable)
         for i in range(len(order) - 1, 0, -1):
             state, j = _rand_below(state, i + 1)
             order[i], order[j] = order[j], order[i]
+        # a mask near two families has owner -1 until the fill ends, since
+        # near only grows here; the open masks, usable, unlabeled and near
+        # at most one family, keep their shuffled order
+        opened = set(bit_positions(usable_bits & ~st.support & ~st.contested()))
+        order = [m for m in order if m in opened]
         # first pass: only masks one family already owns, so ruined
         # structure snaps back before foreign placements; the second pass
         # gives each unowned mask to the first family with the least count
@@ -461,6 +487,7 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
                     state, pick = _rand_below(state, k - 1)
                     jj = pick + 1 + (1 if pick + 1 >= j else 0)
                     st.remove(m)
+                    st.refresh()
                     if st.owner(m) in (0, jj):
                         st.add(m, jj)
                         moved = True
@@ -486,6 +513,7 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
             if cnt:
                 state, idx = _rand_below(state, cnt)
                 m = bit_positions(spare)[idx]
+                st.refresh()
                 j = st.owner(m)
                 if j >= 0:
                     # one draw over the families allowed to take m

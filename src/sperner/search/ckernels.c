@@ -1,16 +1,22 @@
 /*
  * Compiled search kernels, in plain C99 with no Python headers.
  *
- * Mirrors _kernels_py.py operation for operation: same RNG draws in the
- * same order, same float expressions, same tie-breaks and node counts.
- * A fixed seed therefore produces identical trajectories on either
- * backend; the tests rely on it.  Both DFS kernels check their deadline
- * every 4096 nodes, both annealers before every step.  The annealer
+ * Mirrors _kernels_py.py: same RNG draws in the same order, same
+ * placements, same float expressions, same tie-breaks, values and node
+ * counts.  A fixed seed therefore produces identical trajectories on
+ * either backend; the tests rely on it.  Both DFS kernels check their
+ * deadline every 4096 nodes, both annealers before every step.  Both
+ * annealers skip work whose result is already known, by two rules.  A
+ * removal only marks its family stale, and one refresh recloses each
+ * stale family where the comparable sets are read: at the top of a fill
+ * and before the placement rule in the move and add moves.  A fill walks
+ * only the open masks, those near at most one family, since a mask near
+ * two stays unplaceable while the fill only adds.  The annealer
  * places the proper masks of its ground, 1..2**n - 2, since a
  * cross-Sperner tuple of k >= 2 families holds neither the empty set nor
  * the whole ground.  It packs each family bitset into max(1, 2**n / 64)
  * 64-bit words, so it serves every ground up to the package-wide
- * MAX_GROUND; a chain holds 4(k + 1) + 7 such bitsets.  Its values are
+ * MAX_GROUND; a chain holds 4(k + 1) + 8 such bitsets.  Its values are
  * exact unsigned integers in VALUE_LIMBS 32-bit limbs, wide enough for
  * every product of up to ANNEAL_MAX_K counts, so it takes both measures at
  * every (n, k).
@@ -651,6 +657,7 @@ typedef struct {
     AnnState snap;
     int n_usable; /* the proper masks 1..total - 2 */
     uint64_t *usable_bits;
+    uint8_t *stale; /* k + 1: families whose near awaits refresh */
     int *order; /* n_usable */
     int *stack; /* total */
     /* scratch bitsets */
@@ -658,6 +665,7 @@ typedef struct {
     uint64_t *one;  /* ann_add and component */
     uint64_t *comp; /* component */
     uint64_t *pick; /* the add and dig-hole moves */
+    uint64_t *open; /* fill */
 } Ann;
 
 static uint64_t *fam_of(const AnnState *s, const Ann *a, int j)
@@ -718,6 +726,18 @@ static void reclose(Ann *a, int j)
     comparable_to(a, fam_of(&a->cur, a, j), near_of(&a->cur, a, j));
 }
 
+/* recloses each stale family; runs wherever near is read, so every read
+ * sees near as a function of fams alone */
+static void refresh(Ann *a)
+{
+    int j;
+    for (j = 1; j <= a->k; j++)
+        if (a->stale[j]) {
+            reclose(a, j);
+            a->stale[j] = 0;
+        }
+}
+
 static POPCNT_CLONES void ann_load(Ann *a, const uint8_t *labels)
 {
     AnnState *s = &a->cur;
@@ -737,6 +757,7 @@ static POPCNT_CLONES void ann_load(Ann *a, const uint8_t *labels)
     s->support_count = count_bits(s->support, a->words);
     for (j = 1; j <= a->k; j++)
         reclose(a, j);
+    memset(a->stale, 0, a->k + 1);
 }
 
 static void copy_state(AnnState *dst, const AnnState *src, const Ann *a)
@@ -748,6 +769,13 @@ static void copy_state(AnnState *dst, const AnnState *src, const Ann *a)
     memcpy(dst->counts, src->counts, (a->k + 1) * sizeof(int64_t));
     memcpy(dst->support, src->support, a->words * sizeof(uint64_t));
     dst->support_count = src->support_count;
+}
+
+/* back to the snapshot, taken between steps when no family is stale */
+static void ann_restore(Ann *a)
+{
+    copy_state(&a->cur, &a->snap, a);
+    memset(a->stale, 0, a->k + 1);
 }
 
 /* The placement rule: family j may take the unlabeled mask m exactly when
@@ -791,7 +819,7 @@ static void ann_remove(Ann *a, int m)
     a->cur.counts[j]--;
     clear_bit(a->cur.support, m);
     a->cur.support_count--;
-    reclose(a, j);
+    a->stale[j] = 1;
 }
 
 /* A value in 32-bit limbs, least significant first.  Only the len limbs
@@ -907,8 +935,9 @@ static void component(Ann *a, int m)
 /* greedy refill to a maximal labeling, in a freshly shuffled order */
 static void fill(Ann *a, uint64_t *state)
 {
-    int i, m, j, jj, pass_no;
-    uint64_t r;
+    int i, m, j, jj, w, pass_no, n_open = 0;
+    uint64_t r, once, twice, x;
+    refresh(a);
     for (i = 0; i < a->n_usable; i++)
         a->order[i] = i + 1;
     for (i = a->n_usable - 1; i > 0; i--) {
@@ -917,11 +946,28 @@ static void fill(Ann *a, uint64_t *state)
         a->order[i] = a->order[r];
         a->order[r] = m;
     }
+    /* a mask near two families has owner -1 until the fill ends, since
+     * near only grows here; the open masks, usable, unlabeled and near at
+     * most one family, keep their shuffled order */
+    for (w = 0; w < a->words; w++) {
+        once = twice = 0;
+        for (j = 1; j <= a->k; j++) {
+            x = near_of(&a->cur, a, j)[w];
+            twice |= once & x;
+            once |= x;
+        }
+        a->open[w] = a->usable_bits[w] & ~a->cur.support[w] & ~twice;
+    }
+    for (i = 0; i < a->n_usable; i++) {
+        m = a->order[i];
+        if (a->open[m >> 6] >> (m & 63) & 1)
+            a->order[n_open++] = m;
+    }
     /* first pass: only masks one family already owns, so ruined structure
      * snaps back before foreign placements; the second pass gives each
      * unowned mask to the first family with the least count */
     for (pass_no = 0; pass_no < 2; pass_no++) {
-        for (i = 0; i < a->n_usable; i++) {
+        for (i = 0; i < n_open; i++) {
             m = a->order[i];
             if (a->cur.labels[m])
                 continue;
@@ -990,12 +1036,13 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
                 if (a->cur.counts[j] > 1) {
                     jj = other_family(a, state, j);
                     ann_remove(a, m);
+                    refresh(a);
                     own = owner(a, m);
                     if (own == 0 || own == jj) {
                         ann_add(a, m, jj);
                         moved = 1;
                     } else {
-                        copy_state(&a->cur, &a->snap, a);
+                        ann_restore(a);
                     }
                 }
             }
@@ -1021,6 +1068,7 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
             cnt = count_bits(a->pick, a->words);
             if (cnt) {
                 m = nth_member(a->pick, rand_below(state, cnt));
+                refresh(a);
                 own = owner(a, m);
                 if (own >= 0) {
                     /* one draw over the families allowed to take m */
@@ -1078,7 +1126,7 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
                         break;
                 }
             } else {
-                copy_state(&a->cur, &a->snap, a);
+                ann_restore(a);
             }
         }
         temp *= alpha;
@@ -1130,10 +1178,10 @@ int sperner_anneal_chain(int n, int k, int product, int n_var,
     /* one block, widest elements first so that each array stays aligned */
     words = a.words;
     rows = (size_t)(k + 1) * words;
-    block = calloc(1, (4 * rows + 7 * words) * sizeof(uint64_t)
+    block = calloc(1, (4 * rows + 8 * words) * sizeof(uint64_t)
                           + 2 * (k + 1) * sizeof(int64_t)
                           + (size_t)(a.n_usable + a.total) * sizeof(int)
-                          + 2 * (size_t)a.total);
+                          + 2 * (size_t)a.total + (k + 1));
     if (!block)
         return -1;
     p = block;
@@ -1148,12 +1196,14 @@ int sperner_anneal_chain(int n, int k, int product, int n_var,
     a.one = carve(&p, words, sizeof(uint64_t));
     a.comp = carve(&p, words, sizeof(uint64_t));
     a.pick = carve(&p, words, sizeof(uint64_t));
+    a.open = carve(&p, words, sizeof(uint64_t));
     a.cur.counts = carve(&p, k + 1, sizeof(int64_t));
     a.snap.counts = carve(&p, k + 1, sizeof(int64_t));
     a.order = carve(&p, a.n_usable, sizeof(int));
     a.stack = carve(&p, a.total, sizeof(int));
     a.cur.labels = carve(&p, a.total, 1);
     a.snap.labels = carve(&p, a.total, 1);
+    a.stale = carve(&p, k + 1, 1);
     for (i = 1; i <= a.n_usable; i++)
         set_bit(a.usable_bits, i);
     memcpy(stop.limb, stop_value, sizeof(stop.limb));

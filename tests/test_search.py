@@ -16,8 +16,10 @@ from sperner.errors import GroundTooLarge, InfeasibleParams
 from sperner.lattice import (
     MAX_GROUND,
     FamilyTuple,
+    _comparable_bits,
     _label_bits,
     _labels_of,
+    bit_positions,
     comparability_number,
     comparable,
     is_cross_sperner,
@@ -706,7 +708,9 @@ class TestBackendParity:
         # acceptance ratio needs exact integer division.  At (12, 7),
         # (14, 7) and (8, 16), where 16 families of 16 allow 2**64, a
         # product may pass 2**63; at (14, 7) the start does, with 729**7.
-        # At n = 2 masks 1 and 2 are the only proper ones.
+        # At n = 2 masks 1 and 2 are the only proper ones.  At (9, 6) and
+        # (11, 4) ruin and dig-hole moves strip several families in one
+        # step, so one fill recloses each of them.
         for n, k, product, seed, steps, restart in [
             (2, 2, True, 1, 200, 20),
             (2, 2, False, 4, 200, 20),
@@ -724,9 +728,24 @@ class TestBackendParity:
             (12, 7, True, 1, 20, 6),
             (14, 7, True, 1, 8, 3),
             (8, 16, True, 1, 400, 30),
+            (9, 6, True, 1, 400, 15),
+            (11, 4, False, 3, 120, 6),
         ]:
             args = _anneal_args(n, k, product, seed, steps, restart)
             assert self.pure.anneal_chain(*args) == self.fast.anneal_chain(*args)
+
+    def test_ruin_step_at_twenty(self, monkeypatch):
+        # the first step of this chain ruins its n = 20 support, removing
+        # a tenth to two fifths of its members: it closes each stripped
+        # family once, not once a removal, and walks only the open masks
+        from sperner.search import engine
+
+        monkeypatch.setattr(engine, "_kernels", self.fast)
+        start = time.monotonic()
+        res = anneal_max_product(SearchConfig(20, 3, mode="heuristic",
+                                              budget_nodes=1, threads=1, seed=1))
+        assert (res.value, res.nodes, res.backend) == (3746697164594496, 1, "compiled")
+        assert time.monotonic() - start < 15.0
 
     def test_anneal_stops_at_target_past_int64(self):
         # at (12, 10) seed 1 the chain starts near 2**29 and its best passes
@@ -1020,6 +1039,50 @@ def test_placement_rule_matches_comparability(n, k):
                               for x, lab in enumerate(labels))
                 assert (st.owner(m) in (0, j)) == (not blocked)
     assert seen == {-1, 0, 1}  # unowned, owned and contested masks all occur
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 4)])
+def test_refresh_recloses_stale_families(n, k):
+    # a removal only marks its family stale; after refresh() each near is
+    # the closure of its family again, as a fresh load computes it
+    from sperner.search._kernels_py import _AnnealState
+
+    rng = random.Random(n * 10 + k)
+    st = _AnnealState(n, k)
+    most = 0
+    for _ in range(10):
+        st.load([rng.randint(1, k) if rng.random() < 0.5 else 0
+                 for _ in range(1 << n)])
+        members = [m for m in range(1 << n) if st.labels[m]]
+        for m in rng.sample(members, rng.randint(1, len(members))):
+            st.remove(m)
+        most = max(most, len(st.stale))
+        st.refresh()
+        assert not st.stale
+        for j in range(1, k + 1):
+            assert st.near[j] == _comparable_bits(st.fams[j], n)
+    assert most >= 2  # several families went stale at once
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_contested_masks_are_the_unplaceable_ones(n, k):
+    # the masks a fill skips, unlabeled ones near two families, are exactly
+    # those the placement rule gives to no family
+    from sperner.search._kernels_py import _AnnealState
+
+    rng = random.Random(n * 100 + k)
+    st = _AnnealState(n, k)
+    found = 0
+    for _ in range(20):
+        density = 0.4 * rng.random()
+        st.load([rng.randint(1, k) if rng.random() < density else 0
+                 for _ in range(1 << n)])
+        unplaceable = [m for m in range(1 << n)
+                       if not st.labels[m] and st.owner(m) == -1]
+        assert bit_positions(st.contested() & ~st.support) == unplaceable
+        found += len(unplaceable)
+    assert found
 
 
 class TestCompiledGuards:
