@@ -371,10 +371,11 @@ class _AnnealState:
         return sup | sub
 
     def add(self, m, j):
-        # the comparable set of a family grows by one(m) when m joins it
+        # near grows by one(m) when m joins a family that is not stale
         self.labels[m] = j
         self.fams[j] |= 1 << m
-        self.near[j] |= self.one(m)
+        if j not in self.stale:
+            self.near[j] |= self.one(m)
         self.counts[j] += 1
         self.support |= 1 << m
         self.support_count += 1
@@ -397,14 +398,11 @@ class _AnnealState:
         return self.support_count
 
     def component(self, m):
-        """Comparability component of m inside the support."""
-        comp = 1 << m
-        frontier = [m]
-        while frontier:
-            x = frontier.pop()
-            near = self.one(x) & self.support & ~comp
-            comp |= near
-            frontier += bit_positions(near)
+        """Comparability component of m inside the support, by closures."""
+        comp, grown = 0, 1 << m
+        while grown != comp:
+            comp = grown
+            grown = _comparable_bits(comp, self.n) & self.support
         return comp
 
 
@@ -502,9 +500,9 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
                 if len(comp) < st.counts[j]:
                     state, pick = _rand_below(state, k - 1)
                     jj = pick + 1 + (1 if pick + 1 >= j else 0)
+                    st.stale.add(jj)  # the fill recloses it once
                     for x in comp:
                         st.remove(x)
-                    for x in comp:
                         st.add(x, jj)
                     moved = True
         elif r < 0.70:  # add

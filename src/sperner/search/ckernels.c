@@ -9,17 +9,19 @@
  * annealers skip work whose result is already known, by two rules.  A
  * removal only marks its family stale, and one refresh recloses each
  * stale family where the comparable sets are read: at the top of a fill
- * and before the placement rule in the move and add moves.  A fill walks
- * only the open masks, those near at most one family, since a mask near
- * two stays unplaceable while the fill only adds.  The annealer
- * places the proper masks of its ground, 1..2**n - 2, since a
- * cross-Sperner tuple of k >= 2 families holds neither the empty set nor
- * the whole ground.  It packs each family bitset into max(1, 2**n / 64)
- * 64-bit words, so it serves every ground up to the package-wide
- * MAX_GROUND; a chain holds 4(k + 1) + 8 such bitsets.  Its values are
- * exact unsigned integers in VALUE_LIMBS 32-bit limbs, wide enough for
- * every product of up to ANNEAL_MAX_K counts, so it takes both measures at
- * every (n, k).
+ * and before the placement rule in the move and add moves; a recolor
+ * grows its component by whole closures and marks the receiving family
+ * stale before its adds.  A fill walks only the open masks, those near at
+ * most one family, since a mask near two stays unplaceable while the fill
+ * only adds.  The annealer places the proper masks of its ground,
+ * 1..2**n - 2, since a cross-Sperner tuple of k >= 2 families holds
+ * neither the empty set nor the whole ground.  It packs each family bitset
+ * into max(1, 2**n / 64) 64-bit words, so it serves every ground up to the
+ * package-wide MAX_GROUND.  A chain allocates 4(k + 1) + 8 such bitsets,
+ * a shuffle order of 2**n - 2 ints and two labelings of 2**n bytes, 9.4 MB
+ * at n = 20 for k = 3.  Its values are exact unsigned integers in
+ * VALUE_LIMBS 32-bit limbs, wide enough for every product of up to
+ * ANNEAL_MAX_K counts, so it takes both measures at every (n, k).
  *
  * The exact DFS keeps each depth's pin row, the labels that earlier
  * choices force on later masks, as 64-bit words: one of free masks, one
@@ -659,7 +661,6 @@ typedef struct {
     uint64_t *usable_bits;
     uint8_t *stale; /* k + 1: families whose near awaits refresh */
     int *order; /* n_usable */
-    int *stack; /* total */
     /* scratch bitsets */
     uint64_t *down; /* comparable_to */
     uint64_t *one;  /* ann_add and component */
@@ -796,7 +797,7 @@ static int owner(const Ann *a, int m)
     return found;
 }
 
-/* the comparable set of a family grows by one(m) when m joins it */
+/* near grows by one(m) when m joins a family that is not stale */
 static void ann_add(Ann *a, int m, int j)
 {
     uint64_t *near = near_of(&a->cur, a, j);
@@ -806,6 +807,8 @@ static void ann_add(Ann *a, int m, int j)
     a->cur.counts[j]++;
     set_bit(a->cur.support, m);
     a->cur.support_count++;
+    if (a->stale[j])
+        return;
     one(a, m, a->one);
     for (w = 0; w < a->words; w++)
         near[w] |= a->one[w];
@@ -915,21 +918,18 @@ static double exact_ratio(const Value *a, const Value *b)
 /* a->comp = the comparability component of m inside the support */
 static void component(Ann *a, int m)
 {
-    uint64_t near;
-    int top = 0, x, w;
+    uint64_t grown, more;
+    int w;
     memset(a->comp, 0, a->words * sizeof(uint64_t));
     set_bit(a->comp, m);
-    a->stack[top++] = m;
-    while (top) {
-        x = a->stack[--top];
-        one(a, x, a->one);
-        for (w = 0; w < a->words; w++) {
-            near = a->one[w] & a->cur.support[w] & ~a->comp[w];
-            a->comp[w] |= near;
-            for (; near; near &= near - 1)
-                a->stack[top++] = (w << 6) + lowest_bit(near);
+    do {
+        comparable_to(a, a->comp, a->one);
+        for (more = 0, w = 0; w < a->words; w++) {
+            grown = a->one[w] & a->cur.support[w];
+            more |= grown & ~a->comp[w];
+            a->comp[w] = grown;
         }
-    }
+    } while (more);
 }
 
 /* greedy refill to a maximal labeling, in a freshly shuffled order */
@@ -1053,12 +1053,12 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
                 component(a, m);
                 if (count_bits(a->comp, a->words) < a->cur.counts[j]) {
                     jj = other_family(a, state, j);
+                    a->stale[jj] = 1; /* the fill recloses it once */
                     for (m = next_member(a->comp, a->words, 0); m >= 0;
-                         m = next_member(a->comp, a->words, m + 1))
+                         m = next_member(a->comp, a->words, m + 1)) {
                         ann_remove(a, m);
-                    for (m = next_member(a->comp, a->words, 0); m >= 0;
-                         m = next_member(a->comp, a->words, m + 1))
                         ann_add(a, m, jj);
+                    }
                     moved = 1;
                 }
             }
@@ -1180,7 +1180,7 @@ int sperner_anneal_chain(int n, int k, int product, int n_var,
     rows = (size_t)(k + 1) * words;
     block = calloc(1, (4 * rows + 8 * words) * sizeof(uint64_t)
                           + 2 * (k + 1) * sizeof(int64_t)
-                          + (size_t)(a.n_usable + a.total) * sizeof(int)
+                          + (size_t)a.n_usable * sizeof(int)
                           + 2 * (size_t)a.total + (k + 1));
     if (!block)
         return -1;
@@ -1200,7 +1200,6 @@ int sperner_anneal_chain(int n, int k, int product, int n_var,
     a.cur.counts = carve(&p, k + 1, sizeof(int64_t));
     a.snap.counts = carve(&p, k + 1, sizeof(int64_t));
     a.order = carve(&p, a.n_usable, sizeof(int));
-    a.stack = carve(&p, a.total, sizeof(int));
     a.cur.labels = carve(&p, a.total, 1);
     a.snap.labels = carve(&p, a.total, 1);
     a.stale = carve(&p, k + 1, 1);

@@ -3,7 +3,8 @@ package.  Everything here works on plain frozensets of integers and
 never touches the bitset code paths, so agreement is meaningful.  The
 exceptions are the oracles at the end: the previous, slower
 implementations of engine helpers whose output order the comparability
-table's witness tie-breaks depend on, and of the labeling codec."""
+table's witness tie-breaks depend on, of the labeling codec and of the
+annealer's comparability component."""
 
 from itertools import combinations, permutations
 from math import prod
@@ -171,3 +172,16 @@ def tuple_from_order_labels(n, k, labels, masks):
         if lab:
             fams[lab - 1].append(masks[i])
     return FamilyTuple(n, tuple(Family.from_masks(n, f) for f in fams))
+
+
+def component_by_frontier(st, m):
+    """The comparability component of m inside the support of an
+    annealer state st, walked one member at a time from a frontier."""
+    comp = 1 << m
+    frontier = [m]
+    while frontier:
+        x = frontier.pop()
+        near = st.one(x) & st.support & ~comp
+        comp |= near
+        frontier += bit_positions(near)
+    return comp

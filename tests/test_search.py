@@ -38,6 +38,7 @@ from sperner.search import (
 from sperner.search.engine import _reflect_bits, resolve_threads
 
 from .oracles import (
+    component_by_frontier,
     count_upsets,
     labels_by_masks,
     max_product_exact,
@@ -747,6 +748,16 @@ class TestBackendParity:
         assert (res.value, res.nodes, res.backend) == (3746697164594496, 1, "compiled")
         assert time.monotonic() - start < 15.0
 
+    def test_recolor_draws_at_twenty(self):
+        # four of this chain's ten steps draw a recolor, each over a
+        # component of 155,316 members, a whole family: a component grows
+        # by whole closures, not by one closure a member
+        args = _anneal_args(20, 3, True, 1, 10)
+        start = time.monotonic()
+        value, _, steps, state = self.fast.anneal_chain(*args)
+        assert (value, steps, state) == (3746697164594496, 10, 15823692383921917202)
+        assert time.monotonic() - start < 15.0
+
     def test_anneal_stops_at_target_past_int64(self):
         # at (12, 10) seed 1 the chain starts near 2**29 and its best passes
         # 2**70 at step 9; a target there stops both kernels at that step,
@@ -1062,6 +1073,37 @@ def test_refresh_recloses_stale_families(n, k):
         for j in range(1, k + 1):
             assert st.near[j] == _comparable_bits(st.fams[j], n)
     assert most >= 2  # several families went stale at once
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_component_closure_matches_frontier_walk(n, k):
+    # the component grown by whole closures is the one a walk from member
+    # to member finds; recoloring it marks the receiving family stale, so
+    # its adds skip near, and refresh() recloses it
+    from sperner.search._kernels_py import _AnnealState
+
+    rng = random.Random(n * 1000 + k)
+    st = _AnnealState(n, k)
+    sizes = set()
+    for density in (0.03, 0.1, 0.3, 0.5) * 2:
+        st.load([rng.randint(1, k) if rng.random() < density else 0
+                 for _ in range(1 << n)])
+        for m in bit_positions(st.support):
+            comp = st.component(m)
+            assert comp == component_by_frontier(st, m), m
+            sizes.add(min(comp.bit_count(), 2))
+        if st.support:
+            m = rng.choice(bit_positions(st.support))
+            jj = rng.choice([j for j in range(1, k + 1) if j != st.labels[m]])
+            st.stale.add(jj)
+            for x in bit_positions(st.component(m)):
+                st.remove(x)
+                st.add(x, jj)
+            st.refresh()
+            for j in range(1, k + 1):
+                assert st.near[j] == _comparable_bits(st.fams[j], n)
+    assert sizes == {1, 2}  # lone members and larger components both occur
 
 
 @pytest.mark.parametrize("n", [4, 5])
