@@ -15,11 +15,10 @@ hypothesis, so bound grids render completely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import BadGround, UnknownBound
 from .lattice import MAX_GROUND, check_ground
@@ -47,8 +46,7 @@ class BoundId(Enum):
     PRODUCT_CONJECTURED_LIMIT = "product-conjectured-limit"
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     value: Value
     applicable: bool
     note: str = ""
@@ -248,11 +246,13 @@ _CONSISTENCY_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     n: int
     k: int
-    entries: dict[BoundId, BoundValue] = field(repr=False)
+    entries: dict[BoundId, BoundValue]
+
+    def __repr__(self):  # the entries are too long to print
+        return f"BoundsReport(n={self.n!r}, k={self.k!r})"
 
     def applicable(self) -> dict[BoundId, BoundValue]:
         return {b: v for b, v in self.entries.items() if v.applicable}

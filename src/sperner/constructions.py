@@ -17,7 +17,6 @@ returning, so a returned tuple is always a valid witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import min_ground_for_antichain
@@ -31,6 +30,7 @@ from .errors import (
 from .lattice import (
     Family,
     FamilyTuple,
+    _Record,
     check_ground,
     incomparable_complement,
     is_cross_sperner,
@@ -68,8 +68,7 @@ def build_pair_sum(n: int) -> FamilyTuple:
 # -- block product tuples ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductParams:
+class ProductParams(_Record):
     """Parameters for the block product construction.
 
     The ground set splits into k contiguous blocks, larger blocks first:
@@ -82,24 +81,28 @@ class ProductParams:
 
     n: int
     k: int
-    segments: Optional[tuple[int, ...]] = None
+    segments: Optional[tuple[int, ...]]
 
-    def __post_init__(self):
-        check_ground(self.n, minimum=1)
-        if self.k < 2:
-            raise BadGround(f"need k >= 2, got {self.k}")
-        if self.segments is not None:
-            object.__setattr__(self, "segments", tuple(self.segments))
-            if len(self.segments) != self.k:
+    def __init__(self, n: int, k: int,
+                 segments: Optional[tuple[int, ...]] = None):
+        check_ground(n, minimum=1)
+        if k < 2:
+            raise BadGround(f"need k >= 2, got {k}")
+        if segments is not None:
+            segments = tuple(segments)
+            if len(segments) != k:
                 raise BadSegmentSize(
-                    f"got {len(self.segments)} segment sizes for k={self.k}"
+                    f"got {len(segments)} segment sizes for k={k}"
                 )
-            for i, t in enumerate(self.segments):
+            for i, t in enumerate(segments):
                 # bool is an int subclass but never a size
                 if isinstance(t, bool) or not isinstance(t, int):
                     raise BadSegmentSize(
                         f"segment size {t!r} on block {i + 1} must be an integer"
                     )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "segments", segments)
 
     def block_sizes(self) -> tuple[int, ...]:
         q, r = divmod(self.n, self.k)
@@ -173,8 +176,23 @@ def build_product_tuple(p: ProductParams) -> FamilyTuple:
 # -- tagged-antichain sum tuples ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SumParams:
+def _auto_a(n: int, k: int) -> int:
+    """SumParams' default a: the one with the parity of n in the window."""
+    num = k << (k - 1)
+    den = (1 << (k - 1)) - 1
+    a = n & 1
+    while True:
+        # -1 < a - a* <= 1 with a* = log2(num/den), squared out to ints
+        if (den << a) <= 2 * num and num < (den << (a + 1)):
+            return a
+        if (den << a) > 2 * num:  # walked past the window
+            raise InfeasibleParams(
+                f"no a with the parity of n={n} fits the window for k={k}"
+            )
+        a += 2
+
+
+class SumParams(_Record):
     """Parameters for the tagged-antichain sum construction.
 
     The antichain has k-1 members {i} | G where G is the tail block of
@@ -190,43 +208,27 @@ class SumParams:
 
     n: int
     k: int
-    a: Optional[int] = None
+    a: int
 
-    def __post_init__(self):
-        check_ground(self.n, minimum=1)
-        if self.k < 2:
-            raise BadGround(f"need k >= 2, got {self.k}")
-        if self.a is None:
-            object.__setattr__(self, "a", self._auto_a())
-        self._validate()
-
-    def _auto_a(self) -> int:
-        num = self.k << (self.k - 1)
-        den = (1 << (self.k - 1)) - 1
-        a = self.n & 1
-        while True:
-            # -1 < a - a* <= 1 with a* = log2(num/den), squared out to ints
-            if (den << a) <= 2 * num and num < (den << (a + 1)):
-                return a
-            if (den << a) > 2 * num:  # walked past the window
-                raise InfeasibleParams(
-                    f"no a with the parity of n={self.n} fits the window for k={self.k}"
-                )
-            a += 2
-
-    def _validate(self):
-        if (self.n - self.a) % 2:
-            raise InfeasibleParams(
-                f"a={self.a} must have the parity of n={self.n}"
-            )
-        tail = (self.n - self.a) // 2
+    def __init__(self, n: int, k: int, a: Optional[int] = None):
+        check_ground(n, minimum=1)
+        if k < 2:
+            raise BadGround(f"need k >= 2, got {k}")
+        if a is None:
+            a = _auto_a(n, k)
+        if (n - a) % 2:
+            raise InfeasibleParams(f"a={a} must have the parity of n={n}")
+        tail = (n - a) // 2
         if tail < 0:
-            raise InfeasibleParams(f"a={self.a} exceeds n={self.n}")
-        if self.k - 1 > self.n - tail:
+            raise InfeasibleParams(f"a={a} exceeds n={n}")
+        if k - 1 > n - tail:
             raise InfeasibleParams(
-                f"antichain needs k-1={self.k - 1} elements outside the "
-                f"tail of {tail}, only {self.n - tail} available"
+                f"antichain needs k-1={k - 1} elements outside the "
+                f"tail of {tail}, only {n - tail} available"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
 
     @property
     def tail(self) -> int:
@@ -269,8 +271,7 @@ def build_sum_tuple(p: SumParams) -> FamilyTuple:
 # -- fixed-prefix tuples -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrefixParams:
+class PrefixParams(_Record):
     """Parameters for the fixed-prefix construction: k incomparable
     prefixes on the first ell elements (middle-layer sets of [ell] in
     colex order), each family being all sets with that exact prefix.
@@ -279,23 +280,26 @@ class PrefixParams:
 
     n: int
     k: int
-    ell: Optional[int] = None
+    ell: int
 
-    def __post_init__(self):
-        check_ground(self.n, minimum=1)
-        if self.k < 2:
-            raise BadGround(f"need k >= 2, got {self.k}")
-        if self.ell is None:
-            object.__setattr__(self, "ell", min_ground_for_antichain(self.k))
-        if self.ell > self.n:
-            raise BadGround(f"prefix ground ell={self.ell} exceeds n={self.n}")
+    def __init__(self, n: int, k: int, ell: Optional[int] = None):
+        check_ground(n, minimum=1)
+        if k < 2:
+            raise BadGround(f"need k >= 2, got {k}")
+        if ell is None:
+            ell = min_ground_for_antichain(k)
+        if ell > n:
+            raise BadGround(f"prefix ground ell={ell} exceeds n={n}")
         from math import comb
 
-        if comb(self.ell, self.ell // 2) < self.k:
+        if comb(ell, ell // 2) < k:
             raise AntichainTooSmall(
-                f"the middle layer of a {self.ell}-element ground holds only "
-                f"{comb(self.ell, self.ell // 2)} incomparable sets, need {self.k}"
+                f"the middle layer of a {ell}-element ground holds only "
+                f"{comb(ell, ell // 2)} incomparable sets, need {k}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "ell", ell)
 
     def prefix_masks(self) -> tuple[int, ...]:
         half = self.ell // 2

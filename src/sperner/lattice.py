@@ -24,9 +24,9 @@ n = 0 is allowed and degenerates gracefully: the lattice is {empty set}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import Literal, NamedTuple, Optional
 
 from .errors import BadGround, BadIndex, EmptyFamily, BadSegmentSize, NotMonotone
@@ -83,17 +83,50 @@ def comparable(x: SetMask, y: SetMask) -> bool:
     return m == x or m == y
 
 
-@dataclass(frozen=True)
-class Family:
+class _Record:
+    """Base of the validated value types.  A subclass annotates its two or
+    more fields in order, as a NamedTuple does, and its `__init__` checks
+    the arguments and stores them with object.__setattr__.  Instances keep
+    a `__dict__`, so cached_property works on them.  They compare, hash
+    and print field by field, and refuse assignment and deletion with
+    AttributeError, as frozen dataclasses do."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(vars(cls)["__annotations__"])
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Family(_Record):
     """A set of subsets of {1..n}, stored as a 2^n-bit membership integer."""
 
     n: int
     members: int
 
-    def __post_init__(self):
-        check_ground(self.n)
-        if not 0 <= self.members <= family_universe(self.n):
-            raise BadGround(f"membership bits do not fit the n={self.n} lattice")
+    def __init__(self, n: int, members: int):
+        check_ground(n)
+        if not 0 <= members <= family_universe(n):
+            raise BadGround(f"membership bits do not fit the n={n} lattice")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "Family":
@@ -268,8 +301,7 @@ def is_antichain(f: Family) -> bool:
     return not bits & strict_up
 
 
-@dataclass(frozen=True)
-class FamilyTuple:
+class FamilyTuple(_Record):
     """An ordered tuple of families over a common ground set.
 
     Plain data: nothing here asserts the cross-Sperner property, so the
@@ -279,14 +311,15 @@ class FamilyTuple:
     n: int
     families: tuple[Family, ...]
 
-    def __post_init__(self):
-        check_ground(self.n)
-        if len(self.families) < 1:
+    def __init__(self, n: int, families: tuple[Family, ...]):
+        check_ground(n)
+        if len(families) < 1:
             raise ValueError("need at least one family")
-        for f in self.families:
-            if f.n != self.n:
+        for f in families:
+            if f.n != n:
                 raise ValueError("families live over different ground sets")
-        object.__setattr__(self, "families", tuple(self.families))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "families", tuple(families))
 
     @property
     def k(self) -> int:

@@ -663,7 +663,7 @@ typedef struct {
     int *order; /* n_usable */
     /* scratch bitsets */
     uint64_t *down; /* comparable_to */
-    uint64_t *one;  /* ann_add and component */
+    uint64_t *closed; /* component */
     uint64_t *comp; /* component */
     uint64_t *pick; /* the add and dig-hole moves */
     uint64_t *open; /* fill */
@@ -705,12 +705,14 @@ static void comparable_to(const Ann *a, const uint64_t *bits, uint64_t *out)
         out[w] = up[w] | down[w];
 }
 
-/* out = the masks comparable to m alone, its supersets and its subsets.
+/* out |= the masks comparable to m alone, its supersets and its subsets.
  * A mask contains m when its word index contains m's high part and its
- * bit contains m's low part; it lies inside m likewise. */
-static void one(const Ann *a, int m, uint64_t *out)
+ * bit contains m's low part; it lies inside m likewise.  So only the
+ * words hi | s, s a submask of the word bits outside hi, and the words
+ * s, s a submask of hi, change; each loop walks its submasks down to 0. */
+static void or_one(const Ann *a, int m, uint64_t *out)
 {
-    int lo = m & 63, hi = m >> 6, b, w;
+    int lo = m & 63, hi = m >> 6, rest = (a->words - 1) & ~hi, b, s;
     uint64_t sup = a->word_mask, sub = a->word_mask;
     for (b = 0; b < 6; b++) {
         if (lo >> b & 1)
@@ -718,8 +720,16 @@ static void one(const Ann *a, int m, uint64_t *out)
         else
             sub &= ~HI[b];
     }
-    for (w = 0; w < a->words; w++)
-        out[w] = ((w & hi) == hi ? sup : 0) | ((w | hi) == hi ? sub : 0);
+    for (s = rest;; s = (s - 1) & rest) {
+        out[hi | s] |= sup;
+        if (!s)
+            break;
+    }
+    for (s = hi;; s = (s - 1) & hi) {
+        out[s] |= sub;
+        if (!s)
+            break;
+    }
 }
 
 static void reclose(Ann *a, int j)
@@ -797,21 +807,17 @@ static int owner(const Ann *a, int m)
     return found;
 }
 
-/* near grows by one(m) when m joins a family that is not stale */
+/* near grows by the masks comparable to m when m joins a family that is
+ * not stale */
 static void ann_add(Ann *a, int m, int j)
 {
-    uint64_t *near = near_of(&a->cur, a, j);
-    int w;
     a->cur.labels[m] = (uint8_t)j;
     set_bit(fam_of(&a->cur, a, j), m);
     a->cur.counts[j]++;
     set_bit(a->cur.support, m);
     a->cur.support_count++;
-    if (a->stale[j])
-        return;
-    one(a, m, a->one);
-    for (w = 0; w < a->words; w++)
-        near[w] |= a->one[w];
+    if (!a->stale[j])
+        or_one(a, m, near_of(&a->cur, a, j));
 }
 
 static void ann_remove(Ann *a, int m)
@@ -923,9 +929,9 @@ static void component(Ann *a, int m)
     memset(a->comp, 0, a->words * sizeof(uint64_t));
     set_bit(a->comp, m);
     do {
-        comparable_to(a, a->comp, a->one);
+        comparable_to(a, a->comp, a->closed);
         for (more = 0, w = 0; w < a->words; w++) {
-            grown = a->one[w] & a->cur.support[w];
+            grown = a->closed[w] & a->cur.support[w];
             more |= grown & ~a->comp[w];
             a->comp[w] = grown;
         }
@@ -1090,7 +1096,8 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
                 }
             }
         } else { /* dig a coordinated hole: drop everything comparable to a pivot */
-            one(a, 1 + (int)rand_below(state, a->n_usable), a->pick);
+            memset(a->pick, 0, a->words * sizeof(uint64_t));
+            or_one(a, 1 + (int)rand_below(state, a->n_usable), a->pick);
             for (w = 0; w < a->words; w++)
                 a->pick[w] &= a->cur.support[w];
             for (m = next_member(a->pick, a->words, 0); m >= 0;
@@ -1193,7 +1200,7 @@ int sperner_anneal_chain(int n, int k, int product, int n_var,
     a.snap.support = carve(&p, words, sizeof(uint64_t));
     a.usable_bits = carve(&p, words, sizeof(uint64_t));
     a.down = carve(&p, words, sizeof(uint64_t));
-    a.one = carve(&p, words, sizeof(uint64_t));
+    a.closed = carve(&p, words, sizeof(uint64_t));
     a.comp = carve(&p, words, sizeof(uint64_t));
     a.pick = carve(&p, words, sizeof(uint64_t));
     a.open = carve(&p, words, sizeof(uint64_t));

@@ -18,8 +18,8 @@ from __future__ import annotations
 import os
 import time
 from array import array
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from ..constructions import (
     PrefixParams,
@@ -65,8 +65,7 @@ BACKEND: str = (_kernels or _kernels_py).BACKEND
 loads, else "pure"."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Knobs shared by the search entry points.
 
     budget_nodes caps DFS nodes in exact mode and annealing steps per
@@ -96,8 +95,7 @@ class SearchConfig:
     target: int | None = None
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     value: int
     witness: FamilyTuple | None
     optimal: bool
@@ -106,8 +104,7 @@ class SearchResult:
     backend: str
 
 
-@dataclass(frozen=True)
-class CompRow:
+class CompRow(NamedTuple):
     m: int
     c_exact: int
     lower_bound: int
@@ -115,8 +112,7 @@ class CompRow:
     witness: Family
 
 
-@dataclass(frozen=True)
-class CompTable:
+class CompTable(NamedTuple):
     n: int
     rows: tuple[CompRow, ...]
 

@@ -82,10 +82,13 @@ def test_inplace_build_writes_the_package_bytecode(tmp_path, compiler):
 
 def test_import_leaves_out_single_path_modules():
     """The thread pool (and the logging it pulls in) loads only for a
-    threaded compiled anneal, and the witness timestamp needs no
-    datetime."""
+    threaded compiled anneal, the witness timestamp needs no datetime,
+    and the record types need neither dataclasses nor the inspect, ast,
+    dis and tokenize modules it imports."""
+    left_out = {"concurrent.futures", "datetime", "dataclasses", "inspect",
+                "ast", "dis", "tokenize"}
     code = ("import sys, sperner.cli, sperner.search; "
-            "print(sorted({'concurrent.futures', 'datetime'} & set(sys.modules)))")
+            f"print(sorted({left_out!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=_fresh_env(ROOT / "src"), capture_output=True,
                           text=True, timeout=60)
