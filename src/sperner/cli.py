@@ -335,10 +335,6 @@ def _cmd_table(args) -> int:
     return _emit_bounds(args)
 
 
-def _cmd_bounds(args) -> int:
-    return _emit_bounds(args)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sperner",
@@ -406,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="closed-form bound values")
     table_flags(pb, with_k_required=True)
-    pb.set_defaults(_run=_cmd_bounds, _parser=pb)
+    pb.set_defaults(_run=_emit_bounds, _parser=pb)
     return parser
 
 

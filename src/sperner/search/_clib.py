@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import ctypes
 import time
-from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint8, c_uint32, c_uint64
+from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_int64, c_uint8,
+                    c_uint32, c_uint64)
 
 from ..lattice import MAX_GROUND
 
@@ -45,7 +46,7 @@ _SIGNATURES = {
         POINTER(c_int64), POINTER(c_uint8), POINTER(c_int64),
         POINTER(c_int), POINTER(c_int)]),
     "sperner_anneal_chain": (c_int, [
-        c_int, c_int, c_int, c_int, POINTER(c_uint8), c_uint64, c_int64,
+        c_int, c_int, c_int, c_int, c_char_p, c_uint64, c_int64,
         c_double, c_double, c_int64, POINTER(c_uint32), c_int, c_double,
         POINTER(c_uint32), POINTER(c_uint8), POINTER(c_int64), POINTER(c_uint64)]),
     "sperner_upset_orbits": (c_int64, [
@@ -159,22 +160,18 @@ class Library:
         """Same contract and trajectory as the pure version, final
         generator state included, on bitsets of max(1, 2**n / 64) words
         for any n from 2 up to MAX_GROUND, with exact values for both
-        measures."""
+        measures.  variants, the restart pool, is one bytes buffer of
+        whole labelings, which C reads in place."""
         _check(2 <= n <= MAX_GROUND,
                f"compiled annealer needs 2 <= n <= {MAX_GROUND}, got {n}")
         _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
         total = 1 << n
-        _check(len(variants) >= 1, "annealer needs at least one starting labeling")
-        for labels in variants:
-            _check(len(labels) == total,
-                   f"annealer variants need 2**n = {total} labels, got {len(labels)}")
-        # whole-buffer conversions: element by element they take seconds
-        # a chain at n = 20, with the interpreter lock held
-        try:
-            flat = b"".join(map(bytes, variants))
-        except ValueError:  # a label outside 0..255
-            flat = None
-        _check(flat is not None and not flat.translate(None, bytes(range(k + 1))),
+        _check(isinstance(variants, bytes),
+               f"annealer variants must be one bytes buffer, got {type(variants).__name__}")
+        _check(variants and not len(variants) % total,
+               f"annealer variants need whole labelings of 2**n = {total} bytes, "
+               f"got {len(variants)} bytes")
+        _check(not variants.translate(None, bytes(range(k + 1))),
                f"annealer labels must lie in 0..{k}")  # none left once 0..k go
         # limbs least significant first; no product reaches the clamp
         stop = min(stop_value or 0, (1 << 32 * _VALUE_LIMBS) - 1)
@@ -187,8 +184,7 @@ class Library:
         best_labels = (c_uint8 * total)()
         timed, left = _time_left(deadline)
         rc = self._lib.sperner_anneal_chain(
-            n, k, bool(product), len(variants),
-            (c_uint8 * len(flat)).from_buffer_copy(flat),
+            n, k, bool(product), len(variants) // total, variants,
             seed & _MASK64, _int64(steps), t0, alpha,
             _int64(restart_interval), stop_limbs, timed, left,
             best, best_labels, byref(done), byref(state))

@@ -412,8 +412,9 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
     add), greedily refill to a maximal labeling, and Metropolis-accept on
     the measure with geometric cooling.  Restarts cycle through the given
     construction variants.  Fully determined by the seed (wall-clock
-    deadline aside).  Variants and best_labels are labelings: byte m is
-    the family of mask m.  The chain places the proper masks of its
+    deadline aside).  best_labels is a labeling, 2**n bytes where byte m
+    is the family of mask m, and variants is one bytes buffer of whole
+    labelings, the restart pool.  The chain places the proper masks of its
     ground, 1..2**n - 2: with k >= 2 families a cross-Sperner tuple holds
     neither the empty set nor the whole ground, as both are comparable to
     every set.  So it needs n >= 2.
@@ -426,6 +427,7 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
     state = seed & _MASK64
     variant_idx = 0
     total = 1 << n
+    n_var = len(variants) // total
     usable = range(1, total - 1)
     usable_bits = family_universe(n) ^ 1 ^ 1 << (total - 1)
 
@@ -454,7 +456,7 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
                     st.add(m, j)
         return state
 
-    st.load(variants[0])
+    st.load(variants[:total])
     state = fill(state)
     cur = st.value(product)
     best = cur
@@ -559,7 +561,8 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
             temp = 1e-6
         if step - last_improve > restart_interval:
             variant_idx += 1
-            st.load(variants[variant_idx % len(variants)])
+            i = variant_idx % n_var
+            st.load(variants[i * total:(i + 1) * total])
             state = fill(state)
             cur = st.value(product)
             temp = t0

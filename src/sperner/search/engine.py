@@ -126,11 +126,8 @@ def resolve_threads(explicit: int | None) -> int:
 
 def _select():
     """The kernel module for every search, compiled whenever its library
-    loads, and whether its chains may share a thread pool (only the
-    compiled kernels release the interpreter lock)."""
-    if _kernels is not None:
-        return _kernels, True
-    return _kernels_py, False
+    loads."""
+    return _kernels or _kernels_py
 
 
 # -- monotone families -------------------------------------------------------
@@ -155,8 +152,7 @@ def _upset_bits(n: int) -> tuple[list[int], list[int]]:
     """The upset bitsets of P([n]) in enumeration order, and the ascending
     indices of the first upset of each S_n orbit, from the selected
     kernels' `upset_orbits`."""
-    kern, _ = _select()
-    return kern.upset_orbits(n)
+    return _select().upset_orbits(n)
 
 
 _BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -203,7 +199,7 @@ def min_comparability_table(n: int) -> CompTable:
     ups, firsts = _upset_bits(n)
     usizes = [b.bit_count() for b in ups]
     downs = _reflect_bits(ups, total)
-    kern, _ = _select()
+    kern = _select()
     best, bu, bd = kern.comp_scan([ups[i] for i in firsts],
                                   [usizes[i] for i in firsts],
                                   downs, usizes, total)
@@ -330,7 +326,7 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
     fwd = _cmp_forward(masks)
     floor, floor_tuple = _best_construction(cfg.n, cfg.k, product)
     deadline = start + cfg.budget_secs if cfg.budget_secs is not None else 0.0
-    kern, _ = _select()
+    kern = _select()
     value, labels, nodes, completed = kern.exact_search(
         cfg.k, product, masks, fwd, floor,
         cfg.target or 0, cfg.budget_nodes or 0, deadline,
@@ -366,7 +362,10 @@ def exact_max_sum(cfg: SearchConfig) -> SearchResult:
 # -- annealing ---------------------------------------------------------------
 
 
-def _variants(n: int, k: int, product: bool, seed: int) -> list[bytes]:
+def _variants(n: int, k: int, product: bool, seed: int) -> bytes:
+    """The annealer's restart pool: the distinct labelings of the
+    constructions at (n, k) and of up to eight jittered product tuples, in
+    that order, joined into one buffer of 2**n bytes a labeling."""
     cands = _constructions(n, k, product)
     try:
         blocks = ProductParams(n, k).block_sizes()
@@ -383,12 +382,12 @@ def _variants(n: int, k: int, product: bool, seed: int) -> list[bytes]:
             cands += _built(
                 lambda segs=tuple(segs): build_product_tuple(ProductParams(n, k, segs))
             )
-    out = list(dict.fromkeys(_labels_of(t) for t in cands))
-    if not out:
+    pool = b"".join(dict.fromkeys(_labels_of(t) for t in cands))
+    if not pool:
         raise InfeasibleParams(
             f"no feasible starting tuple for n={n}, k={k}"
         )
-    return out
+    return pool
 
 
 def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
@@ -404,7 +403,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
         state, z = sm64_next(state)
         seeds.append(z)
     stop = cfg.target or 0
-    kern, nogil = _select()
+    kern = _select()
 
     def run(chain_seed: int):
         return kern.anneal_chain(
@@ -412,7 +411,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
             _T0, _ALPHA, _RESTART, stop, deadline,
         )
 
-    if nogil:
+    if kern is not _kernels_py:  # compiled chains release the interpreter lock
         # imported here, not at the top: no other path needs the pool or
         # the logging it loads, and every command pays the top's imports
         from concurrent.futures import ThreadPoolExecutor

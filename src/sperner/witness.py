@@ -155,8 +155,9 @@ def parse_witness(text: str) -> dict[str, Any]:
     if missing:
         _fail(f"missing keys: {sorted(missing)}")
 
-    if payload["schema_version"] != SCHEMA_VERSION:
-        _fail(f"unsupported schema_version {payload['schema_version']!r}")
+    version = _check_int(payload["schema_version"], "schema_version")
+    if version != SCHEMA_VERSION:
+        _fail(f"unsupported schema_version {version!r}")
     n = _check_int(payload["n"], "n")
     if not 1 <= n <= MAX_GROUND:
         _fail(f"n={n} outside 1..{MAX_GROUND}")

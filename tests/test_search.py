@@ -367,7 +367,7 @@ def test_compiled_anneal_holds_time_budget():
         SearchConfig(14, 3, mode="heuristic", budget_secs=0.5, threads=1)
     )
     assert time.monotonic() - start < 1.0
-    assert res.backend == engine._select()[0].BACKEND
+    assert res.backend == engine._select().BACKEND
     assert is_cross_sperner(res.witness).ok
 
 
@@ -445,7 +445,7 @@ def test_pure_anneal_frozen_at_7_3(monkeypatch):
     from sperner.search import engine
 
     cfg = SearchConfig(7, 3, mode="heuristic", seed=1, threads=2, budget_nodes=200)
-    for backend in (engine._select()[0].BACKEND, "pure"):
+    for backend in (engine._select().BACKEND, "pure"):
         if backend == "pure":
             monkeypatch.setattr(engine, "_kernels", None)
         prod = anneal_max_product(cfg)
@@ -510,7 +510,9 @@ def test_restart_pool_labelings_match_codec_oracles(n, k, product):
     from sperner.search.engine import _variants
 
     total = 1 << n
-    starts = _variants(n, k, product, 1)
+    pool = _variants(n, k, product, 1)
+    assert len(pool) % total == 0
+    starts = [pool[i:i + total] for i in range(0, len(pool), total)]
     assert len(set(starts)) == len(starts)
     for labels in starts:
         t = tuple_from_order_labels(n, k, labels, range(total))
@@ -549,11 +551,11 @@ def test_resolve_threads_default():
 def test_kernel_selection_rule(monkeypatch):
     from sperner.search import _kernels_py, engine
 
-    assert BACKEND == engine._select()[0].BACKEND
+    assert BACKEND == engine._select().BACKEND
     if engine._kernels is not None:
-        assert engine._select() == (engine._kernels, True)
+        assert engine._select() is engine._kernels
     monkeypatch.setattr(engine, "_kernels", None)
-    assert engine._select() == (_kernels_py, False)
+    assert engine._select() is _kernels_py
 
 
 def test_products_past_int64_anneal_compiled():
@@ -1149,7 +1151,7 @@ class TestCompiledGuards:
         # where C's -1 would read as MemoryError
         args = list(_anneal_args(2, 2, True, 1, 10))
         args[0] = 1
-        args[3] = [bytes([1, 2])]
+        args[3] = bytes([1, 2])
         with pytest.raises(ValueError, match="2 <= n <= 20"):
             gcc_kernels.anneal_chain(*args)
 
@@ -1176,18 +1178,29 @@ class TestCompiledGuards:
             gcc_kernels.anneal_chain(*args)
 
     def test_anneal_rejects_variant_of_wrong_length(self, gcc_kernels):
+        # a pool whose length is not a whole number of labelings, or empty
         args = list(_anneal_args(4, 3, True, 1, 10))
-        args[3] = [args[3][0][:-1]]
-        with pytest.raises(ValueError, match=r"2\*\*n = 16 labels"):
+        for pool in (args[3][:-1], args[3] + bytes(15), b""):
+            args[3] = pool
+            with pytest.raises(ValueError, match=r"whole labelings of 2\*\*n = 16 bytes"):
+                gcc_kernels.anneal_chain(*args)
+
+    @pytest.mark.parametrize("label", [4, 255])
+    def test_anneal_rejects_label_out_of_range(self, gcc_kernels, label):
+        # every byte above k, up to the top of a byte, raises the same error
+        args = list(_anneal_args(4, 3, True, 1, 10))
+        pool = bytearray(args[3])
+        pool[-16 + 5] = label  # in the last labeling
+        args[3] = bytes(pool)
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.3"):
             gcc_kernels.anneal_chain(*args)
 
-    @pytest.mark.parametrize("label", [4, 256, -1])
-    def test_anneal_rejects_label_out_of_range(self, gcc_kernels, label):
-        # above k, and outside a byte on either side, raise the same error
+    def test_anneal_refuses_a_list_of_labelings(self, gcc_kernels):
+        # the pool is one bytes buffer; a list of labelings, even a valid
+        # one, is refused before the call
         args = list(_anneal_args(4, 3, True, 1, 10))
-        args[3] = [list(v) for v in args[3]]
-        args[3][-1][5] = label
-        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.3"):
+        args[3] = [args[3][i:i + 16] for i in range(0, len(args[3]), 16)]
+        with pytest.raises(ValueError, match="one bytes buffer, got list"):
             gcc_kernels.anneal_chain(*args)
 
     def test_comp_scan_rejects_more_than_64_positions(self, gcc_kernels):

@@ -237,6 +237,9 @@ def _base():
         (lambda d: d.update(measures={"sum": 2, "product": 1, "max": 1}), "measures"),
         (lambda d: d.update(created=7), "string"),
         (lambda d: d.update(provenance=[1]), "provenance"),
+        # true == 1 and 1.0 == 1 in Python, but neither is the version
+        (lambda d: d.update(schema_version=True), "schema_version must be an integer"),
+        (lambda d: d.update(schema_version=1.0), "schema_version must be an integer"),
     ],
 )
 def test_parse_rejects_malformed(mutate, hint):
