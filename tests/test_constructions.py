@@ -40,11 +40,14 @@ def test_pair_product_sizes_and_validity():
 
 
 def test_pair_product_membership():
-    t = build_pair_product(4)
-    first = [set(elements_of_mask(m)) for m in t.families[0].masks()]
-    second = [set(elements_of_mask(m)) for m in t.families[1].masks()]
-    assert all(1 in s and 4 not in s for s in first)
-    assert all(4 in s and 1 not in s for s in second)
+    # exactly the sets holding 1 but not n, and the mirror
+    for n in range(2, 11):
+        t = build_pair_product(n)
+        sets = [set(elements_of_mask(m)) for m in range(1 << n)]
+        first = [m for m, s in enumerate(sets) if 1 in s and n not in s]
+        second = [m for m, s in enumerate(sets) if n in s and 1 not in s]
+        assert list(t.families[0].masks()) == first, n
+        assert list(t.families[1].masks()) == second, n
 
 
 def test_pair_sum_formula():
@@ -260,13 +263,25 @@ def test_prefix_default_ell_is_minimal():
 
 
 def test_prefix_families_partition_by_prefix():
-    p = PrefixParams(5, 2)
-    t = build_prefix_tuple(p)
-    prefixes = p.prefix_masks()
-    ground = (1 << p.ell) - 1
-    for fam, pref in zip(t.families, prefixes):
-        for m in fam.masks():
-            assert m & ground == pref
+    # family i is exactly the sets whose [ell] part is the i-th prefix,
+    # for every (n, k, ell) the parameters admit
+    from math import comb
+
+    built = 0
+    for n in range(1, 10):
+        for k in range(2, comb(n, n // 2) + 1):
+            for ell in range(n + 1):
+                try:
+                    p = PrefixParams(n, k, ell)
+                except SpernerError:
+                    continue
+                t = build_prefix_tuple(p)
+                ground = (1 << ell) - 1
+                for fam, pref in zip(t.families, p.prefix_masks()):
+                    want = [m for m in range(1 << n) if m & ground == pref]
+                    assert list(fam.masks()) == want, (n, k, ell, pref)
+                built += 1
+    assert built > 200
 
 
 def test_prefix_rejects_oversized_request():
