@@ -123,6 +123,9 @@ def _emit_rows(rows: list[dict], fmt: str, columns: list[str],
 
 def _cmd_construct(args) -> int:
     mode = args.mode
+    for flag, owner in (("segments", "product"), ("a", "sum"), ("ell", "prefix")):
+        if mode != owner and getattr(args, flag) is not None:
+            args._parser.error(f"mode {mode} takes no --{flag}")
     if mode in ("pair-product", "pair-sum"):
         if args.k not in (None, 2):
             args._parser.error(f"mode {mode} builds pairs; drop --k or use --k 2")

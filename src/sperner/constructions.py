@@ -1,15 +1,17 @@
 """Builders for cross-Sperner tuples with known measures.
 
-Four shapes:
+Two shapes:
 
-* pair builders: the two-family product and sum extremal examples;
-* block product tuples: partition the ground set into k blocks, pick a
-  colex initial segment inside each block, family i takes segment sets on
-  block i and complement sets on every other block;
-* tagged-antichain sum tuples: k-1 singleton families {i} + tail block,
-  plus everything incomparable to that antichain as the k-th family;
-* fixed-prefix tuples: k incomparable prefixes on the first ell elements,
-  free tails above (the shape behind the conjectured product upper bound).
+* block patterns (`_pattern`): split the ground set into disjoint blocks,
+  each with a colex downset D_c and its complement upset U_c; for an
+  antichain S_1..S_k of block sets, family i takes U_c on the blocks c in
+  S_i and D_c elsewhere.  The extremal product pair (blocks {1} and {n}),
+  the block product tuples (D_c on family c's own block only) and the
+  fixed-prefix tuples (one-element blocks on [ell], free tails) are such;
+* antichain complements: the extremal sum pair, {1..floor(n/2)} against
+  everything incomparable to it, and the tagged-antichain sum tuples,
+  k-1 singleton families {i} + tail block plus everything incomparable
+  to that antichain as the k-th family.
 
 Every builder re-verifies its output with is_cross_sperner before
 returning, so a returned tuple is always a valid witness.
@@ -34,7 +36,6 @@ from .lattice import (
     check_ground,
     incomparable_complement,
     is_cross_sperner,
-    _positions_with_bit,
 )
 
 
@@ -45,15 +46,36 @@ def _verified(t: FamilyTuple) -> FamilyTuple:
     return t
 
 
+def _pattern(n: int, blocks, uppers) -> FamilyTuple:
+    """The block pattern tuple.  blocks[c] = (start, size, d) is the run
+    of elements start..start+size-1 (0-based); its downset is its first d
+    local masks in colex order, which on a contiguous run is numeric
+    order, and its upset is the rest, so d = 2**size leaves it free.
+    Family i takes the upset on block c where bit c of uppers[i] is set
+    and the downset elsewhere.  Antichain uppers make the tuple
+    cross-Sperner: for i != j some block gives i its upset and j its
+    downset, and no upset set lies inside a downset set."""
+    families = []
+    for upper in uppers:
+        bits = 1  # the empty position, forked block by block
+        for c, (start, size, d) in enumerate(blocks):
+            # a block shares no bits with what is accumulated, so OR is
+            # addition and forking by a local mask is a left shift
+            lo, hi = (d, 1 << size) if upper >> c & 1 else (0, d)
+            out = 0
+            for m in range(lo << start, hi << start, 1 << start):
+                out |= bits << m
+            bits = out
+        families.append(Family(n, bits))
+    return _verified(FamilyTuple(n, tuple(families)))
+
+
 def build_pair_product(n: int) -> FamilyTuple:
     """The extremal product pair: sets containing 1 but not n versus sets
     containing n but not 1.  Both have 2^(n-2) members."""
     check_ground(n, minimum=2)
-    with_first = _positions_with_bit(n, 0)
-    with_last = _positions_with_bit(n, n - 1)
-    f = Family(n, with_first & ~with_last)
-    g = Family(n, with_last & ~with_first)
-    return _verified(FamilyTuple(n, (f, g)))
+    free = [(e, 1, 2) for e in range(1, n - 1)]
+    return _pattern(n, [(0, 1, 1), (n - 1, 1, 1)] + free, (0b01, 0b10))
 
 
 def build_pair_sum(n: int) -> FamilyTuple:
@@ -126,17 +148,6 @@ class ProductParams(_Record):
         return tuple(out)
 
 
-def _spread(positions: int, choices) -> int:
-    """Extend a position bitset by one disjoint block: each existing
-    position forks once per allowed block mask.  Works because a block
-    mask shares no bits with what is already accumulated, so OR is
-    addition and the fork is a left shift."""
-    out = 0
-    for m in choices:
-        out |= positions << m
-    return out
-
-
 def build_product_tuple(p: ProductParams) -> FamilyTuple:
     """Materialize the block product tuple for p.
 
@@ -144,33 +155,22 @@ def build_product_tuple(p: ProductParams) -> FamilyTuple:
     complement_j for j != i}; its size is segments[i] times the product of
     the complement counts of the other blocks.
     """
-    sizes = p.block_sizes()
-    t = p.segment_sizes()
-    seg_masks: list[range] = []
-    comp_masks: list[range] = []
-    s = 0  # the elements before block i
-    for i in range(p.k):
-        cap = 1 << sizes[i]
-        if not 1 <= t[i] <= cap:
+    blocks = []
+    start = 0  # the elements before block i
+    for i, (size, t) in enumerate(zip(p.block_sizes(), p.segment_sizes())):
+        cap = 1 << size
+        if not 1 <= t <= cap:
             raise BadSegmentSize(
-                f"segment size {t[i]} on block {i + 1} outside 1..{cap}"
+                f"segment size {t} on block {i + 1} outside 1..{cap}"
             )
-        if t[i] == cap:
+        if t == cap:
             raise EmptyBlock(
                 f"segment swallows all of block {i + 1}, its complement part is empty"
             )
-        # a contiguous block's colex order is the numeric order of its
-        # masks, so the segment is the t[i] least and the rest follow
-        seg_masks.append(range(0, t[i] << s, 1 << s))
-        comp_masks.append(range(t[i] << s, cap << s, 1 << s))
-        s += sizes[i]
-    families = []
-    for i in range(p.k):
-        bits = 1  # the empty position, forked block by block
-        for j in range(p.k):
-            bits = _spread(bits, seg_masks[j] if j == i else comp_masks[j])
-        families.append(Family(p.n, bits))
-    return _verified(FamilyTuple(p.n, tuple(families)))
+        blocks.append((start, size, t))
+        start += size
+    full = (1 << p.k) - 1
+    return _pattern(p.n, blocks, [full ^ 1 << i for i in range(p.k)])
 
 
 # -- tagged-antichain sum tuples ---------------------------------------------
@@ -288,6 +288,8 @@ class PrefixParams(_Record):
             raise BadGround(f"need k >= 2, got {k}")
         if ell is None:
             ell = min_ground_for_antichain(k)
+        if ell < 0:
+            raise BadGround(f"prefix ground ell={ell} is negative")
         if ell > n:
             raise BadGround(f"prefix ground ell={ell} exceeds n={n}")
         from math import comb
@@ -316,12 +318,5 @@ def build_prefix_tuple(p: PrefixParams) -> FamilyTuple:
     """Materialize the fixed-prefix tuple: family i is every set whose
     intersection with {1..ell} equals the i-th middle-layer prefix, so
     each family has exactly 2^(n-ell) members."""
-    tails = 1
-    width = 1 << p.ell
-    span = width
-    total = 1 << p.n
-    while span < total:
-        tails |= tails << span
-        span <<= 1
-    families = tuple(Family(p.n, tails << m) for m in p.prefix_masks())
-    return _verified(FamilyTuple(p.n, families))
+    blocks = [(e, 1, 1 if e < p.ell else 2) for e in range(p.n)]
+    return _pattern(p.n, blocks, p.prefix_masks())

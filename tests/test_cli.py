@@ -80,6 +80,29 @@ def test_construct_domain_error_is_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,flag,value", [
+    ("prefix", "--segments", "1,2"),
+    ("prefix", "--a", "3"),
+    ("product", "--a", "2"),
+    ("product", "--ell", "2"),
+    ("sum", "--segments", "1,2"),
+    ("sum", "--ell", "2"),
+    ("pair-product", "--ell", "2"),
+    ("pair-sum", "--a", "2"),
+])
+def test_construct_rejects_other_modes_flags(capsys, mode, flag, value):
+    k = [] if mode.startswith("pair") else ["--k", "2"]
+    assert run("construct", mode, "--n", "5", *k, flag, value) == 2
+    assert f"mode {mode} takes no {flag}" in capsys.readouterr().err
+
+
+def test_construct_prefix_negative_ell_is_usage_error(capsys):
+    assert run("construct", "prefix", "--n", "5", "--k", "2",
+               "--ell", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_construct_bad_segment_syntax():
     assert run("construct", "product", "--n", "6", "--k", "3",
                "--segments", "a,b") == 2

@@ -4,6 +4,7 @@ from sperner.constructions import (
     PrefixParams,
     ProductParams,
     SumParams,
+    _pattern,
     build_pair_product,
     build_pair_sum,
     build_prefix_tuple,
@@ -163,6 +164,23 @@ def test_product_rejects_bad_width():
         ProductParams(6, 1)
 
 
+def test_pattern_builds_a_tuple_no_public_builder_makes():
+    # the (8,7) pattern: blocks {1},{2},{3},{4} with d = 1, block
+    # {5,6,7} with d = 7, element 8 free; the uppers are the antichain
+    # {12, 13, 23, 14, 24, 34, 15} over those five blocks
+    from sperner.search.engine import _best_construction
+
+    blocks = [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 3, 7), (7, 1, 2)]
+    antichain = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5))
+    uppers = [sum(1 << (c - 1) for c in s) for s in antichain]
+    t = _pattern(8, blocks, uppers)
+    assert t.sizes() == (14, 14, 14, 14, 14, 14, 2)
+    assert t.product_size() == 15_059_072
+    assert is_cross_sperner(t).ok
+    floor, _ = _best_construction(8, 7, True)
+    assert floor == 2_097_152 < t.product_size()
+
+
 # tagged-antichain sum tuples
 
 
@@ -289,3 +307,5 @@ def test_prefix_rejects_oversized_request():
         PrefixParams(6, 3, ell=2)
     with pytest.raises(BadGround):
         PrefixParams(3, 2, ell=4)
+    with pytest.raises(BadGround):
+        PrefixParams(5, 2, ell=-1)
