@@ -78,6 +78,9 @@ def test_construct_domain_error_is_exit_2(capsys):
     assert run("construct", "product", "--n", "6", "--k", "3",
                "--segments", "4,1,1") == 2
     assert "error" in capsys.readouterr().err
+    assert run("construct", "prefix", "--n", "5", "--k", "2",
+               "--ell", "-1") == 2
+    assert capsys.readouterr().err.startswith("error: prefix ground ell=-1")
 
 
 @pytest.mark.parametrize("mode,flag,value", [
@@ -94,13 +97,6 @@ def test_construct_rejects_other_modes_flags(capsys, mode, flag, value):
     k = [] if mode.startswith("pair") else ["--k", "2"]
     assert run("construct", mode, "--n", "5", *k, flag, value) == 2
     assert f"mode {mode} takes no {flag}" in capsys.readouterr().err
-
-
-def test_construct_prefix_negative_ell_is_usage_error(capsys):
-    assert run("construct", "prefix", "--n", "5", "--k", "2",
-               "--ell", "-1") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_construct_bad_segment_syntax():
