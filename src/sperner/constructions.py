@@ -203,7 +203,7 @@ class SumParams(_Record):
     the comparability count, i.e. with
     a - (log2 k + log2(2^(k-1) / (2^(k-1) - 1))) in (-1, 1],
     decided by exact integer comparisons.  An explicit a skips the window
-    and only needs parity and fit.
+    and only needs to be non-negative, with the parity of n, and to fit.
     """
 
     n: int
@@ -216,6 +216,8 @@ class SumParams(_Record):
             raise BadGround(f"need k >= 2, got {k}")
         if a is None:
             a = _auto_a(n, k)
+        if a < 0:
+            raise InfeasibleParams(f"a={a} must be non-negative")
         if (n - a) % 2:
             raise InfeasibleParams(f"a={a} must have the parity of n={n}")
         tail = (n - a) // 2

@@ -143,7 +143,8 @@ def parse_witness(text: str) -> dict[str, Any]:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nesting deeper than the interpreter's limit
         raise WitnessFormatError(f"not valid JSON: {e}") from None
     if not isinstance(payload, dict):
         _fail("top level must be a JSON object")

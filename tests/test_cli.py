@@ -1,15 +1,18 @@
 import csv
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from sperner.bounds import BoundId
+from sperner import cli
 from sperner.cli import main
 from sperner.search import min_comparability_table
 from sperner.witness import check_witness, load_witness, parse_witness
@@ -81,6 +84,8 @@ def test_construct_domain_error_is_exit_2(capsys):
     assert run("construct", "prefix", "--n", "5", "--k", "2",
                "--ell", "-1") == 2
     assert capsys.readouterr().err.startswith("error: prefix ground ell=-1")
+    assert run("construct", "sum", "--n", "5", "--k", "2", "--a", "-1") == 2
+    assert capsys.readouterr().err == "error: a=-1 must be non-negative\n"
 
 
 @pytest.mark.parametrize("mode,flag,value", [
@@ -137,6 +142,260 @@ def test_verify_mixed_files_fail_together(tmp_path, capsys):
 
 def test_verify_missing_file_is_usage_error(capsys):
     assert run("verify", "/nonexistent/w.json") == 2
+
+
+def test_verify_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    binary = tmp_path / "ls.bin"
+    binary.write_bytes(b'{"n": \xff\x00ELF}')
+    good = tmp_path / "good.json"
+    run("construct", "pair-product", "--n", "4", "--out", str(good))
+    capsys.readouterr()
+    assert run("verify", str(binary), str(good)) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"INVALID {binary}: not valid UTF-8: invalid start byte at byte 6",
+        f"OK {good}: n=4 k=2 sum=8 product=16",
+    ]
+    assert err == ""
+
+
+# verify split across forked workers
+
+
+def _verify_files(tmp_path):
+    """Three good witnesses, one with a format error and one whose
+    families are comparable, in that order.  The smallest good file
+    (pair-product), which the parent keeps when every file has a share
+    of its own, is the middle one."""
+    paths = []
+    for mode, extra in (("product", ["--k", "3"]), ("pair-product", []),
+                        ("sum", ["--k", "3"])):
+        path = tmp_path / f"{mode}.json"
+        assert run("construct", mode, "--n", "6", *extra, "--out", str(path)) == 0
+        paths.append(str(path))
+    fmt = tmp_path / "format.json"
+    fmt.write_text("{}")
+    comparable = tmp_path / "comparable.json"
+    doc = json.loads(Path(paths[0]).read_text())
+    doc.update(n=3, k=2, families=[[1], [3]], measures={"sum": 2, "product": 1})
+    comparable.write_text(json.dumps(doc))
+    return paths + [str(fmt), str(comparable)]
+
+
+def _verify_both_ways(monkeypatch, capsys, argv):
+    """verify's exit code, stdout and stderr in process and with every
+    file in a forked worker of its own, checked equal, plus how many
+    files the parent verified itself in the second run.  The first run
+    must not fork, the second must, and neither may leave a child."""
+    seen = []
+    for threshold in (cli._FORK_BYTES, 0):
+        forks, mine = [], []
+        fork, verdict, parent = os.fork, cli._verdict, os.getpid()
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        def counted_verdict(path):
+            if os.getpid() == parent:
+                mine.append(path)
+            return verdict(path)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_FORK_BYTES", threshold)
+            m.setattr(cli, "_verdict", counted_verdict)
+            m.setattr(os, "cpu_count", lambda: 8)
+            m.setattr(os, "fork", counted_fork)
+            rc = run("verify", *argv)
+        out, err = capsys.readouterr()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert (len(forks) > 0) == (threshold == 0)
+        seen.append((rc, out, err))
+    assert seen[0] == seen[1]
+    return (*seen[0], len(mine))
+
+
+def test_verify_split_all_ok(tmp_path, monkeypatch, capsys):
+    paths = _verify_files(tmp_path)[:3]
+    capsys.readouterr()
+    rc, out, err, mine = _verify_both_ways(monkeypatch, capsys, paths)
+    assert rc == 0 and err == ""
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"OK {p}" for p in paths]
+    assert mine == 1  # the workers' verdicts are used, not redone
+
+
+def test_verify_split_invalid_among_ok(tmp_path, monkeypatch, capsys):
+    good1, good2, good3, fmt, comparable = _verify_files(tmp_path)
+    capsys.readouterr()
+    rc, out, err, mine = _verify_both_ways(
+        monkeypatch, capsys, [good1, fmt, good2, comparable, good3])
+    assert rc == 1 and err == "" and mine == 1
+    lines = out.splitlines()
+    assert [line.split(" ")[0] for line in lines] == [
+        "OK", "INVALID", "OK", "INVALID", "OK"]
+    assert lines[1].startswith(f"INVALID {fmt}: missing keys")
+    assert lines[3] == (f"INVALID {comparable}: not cross-Sperner: mask 1 in "
+                        f"family 0 is comparable to mask 3 in family 1")
+
+
+def test_verify_split_stops_at_unreadable_file(tmp_path, monkeypatch, capsys):
+    good1, good2, good3, fmt, _ = _verify_files(tmp_path)
+    missing = str(tmp_path / "missing.json")
+    capsys.readouterr()
+    rc, out, err, mine = _verify_both_ways(
+        monkeypatch, capsys, [good1, fmt, missing, good2, good3])
+    assert rc == 2 and mine == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"OK {good1}", f"INVALID {fmt}"]
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("cpus,kib,expected", [
+    # the parent keeps the lightest share; the others fork, in argument order
+    (3, [5120, 1, 3072, 2048, 512], [[1, 3, 4], [2], [0]]),
+    (2, [1024, 4096, 2048, 1536], [[1], [0, 2, 3]]),
+    # a share under 1 MiB folds into the parent's
+    (3, [3072, 512, 400], [[1, 2], [0]]),
+    (2, [1000, 1000], [[0, 1]]),
+    (1, [4096, 4096], [[0, 1]]),
+])
+def test_shares_deal_largest_first_into_the_lightest(tmp_path, monkeypatch,
+                                                     cpus, kib, expected):
+    paths = []
+    for i, size in enumerate(kib):
+        path = tmp_path / f"{i}.json"
+        with open(path, "wb") as fh:
+            fh.truncate(size * 1024)
+        paths.append(str(path))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cli._shares(paths) == expected
+
+
+def test_shares_stay_in_process_beside_a_second_thread(tmp_path, monkeypatch):
+    paths = []
+    for i in range(2):
+        path = tmp_path / f"{i}.json"
+        with open(path, "wb") as fh:
+            fh.truncate(4 << 20)
+        paths.append(str(path))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._shares(paths) == [[0], [1]]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert cli._shares(paths) == [[0, 1]]
+    finally:
+        release.set()
+        thread.join()
+
+
+def test_share_stops_at_its_first_unreadable_file(tmp_path):
+    good1, good2 = _verify_files(tmp_path)[:2]
+    missing = str(tmp_path / "missing.json")
+    got = cli._verdicts([good1, missing, good2], [0, 1, 2])
+    assert [code for code, _ in got] == [0, 2]
+
+
+@pytest.mark.parametrize("where", range(3))
+def test_verify_split_raises_what_the_verdict_raises(tmp_path, monkeypatch,
+                                                     capsys, where):
+    # where = 1 raises in the parent's own share, the others in a worker
+    paths = _verify_files(tmp_path)[:3]
+    capsys.readouterr()
+    verdict = cli._verdict
+
+    def fails(path):
+        if path == paths[where]:
+            raise RuntimeError(f"broken {path}")
+        return verdict(path)
+
+    monkeypatch.setattr(cli, "_verdict", fails)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    seen = []
+    for threshold in (cli._FORK_BYTES, 0):
+        monkeypatch.setattr(cli, "_FORK_BYTES", threshold)
+        with pytest.raises(RuntimeError, match=f"^broken {re.escape(paths[where])}$"):
+            main(["verify", *paths])
+        seen.append(capsys.readouterr())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert seen[0] == seen[1]
+    assert [line.split(":")[0] for line in seen[0].out.splitlines()] == [
+        f"OK {p}" for p in paths[:where]]
+
+
+def test_verify_reaps_its_workers_when_interrupted(tmp_path, monkeypatch, capsys):
+    paths = _verify_files(tmp_path)[:3]
+    parent, verdicts = os.getpid(), cli._verdicts
+
+    def interrupted(paths, share):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return verdicts(paths, share)
+
+    monkeypatch.setattr(cli, "_verdicts", interrupted)
+    monkeypatch.setattr(cli, "_FORK_BYTES", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", *paths])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("sent", [
+    [],  # short: the parent verifies the rest
+    [(0, "OK forged")] * 4,  # more verdicts than files
+    [(3, "OK forged")],  # malformed: the parent verifies it all
+    None,  # the worker raises and exits 1
+])
+def test_verify_redoes_a_share_its_worker_got_wrong(tmp_path, monkeypatch,
+                                                    capsys, sent):
+    paths = _verify_files(tmp_path)[:3]
+    capsys.readouterr()
+    parent, verdicts = os.getpid(), cli._verdicts
+
+    def forged(paths, share):
+        if os.getpid() == parent:
+            return verdicts(paths, share)
+        if sent is None:
+            raise RuntimeError("worker fails")
+        return sent
+
+    monkeypatch.setattr(cli, "_verdicts", forged)
+    rc, out, err, _ = _verify_both_ways(monkeypatch, capsys, paths)
+    assert rc == 0 and err == ""
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"OK {p}" for p in paths]
+
+
+@pytest.mark.parametrize("data,status,expected", [
+    (b'[[0, "OK a"], [1, "INVALID b"]]', 0, {4: (0, "OK a"), 7: (1, "INVALID b")}),
+    (b'[[2, "error: a"]]', 0, {4: (2, "error: a")}),
+    (b'[[0, "OK a"], [1, "INVALID b"]]', 1, {}),
+    (b'[[0, "OK a"], [1, "INV', 0, {}),
+    (b'[[0, "OK a"], [0, "OK b"], [0, "OK c"]]', 0, {}),
+    (b'[[true, "OK a"]]', 0, {}),
+    (b'[[0, "OK a", 1]]', 0, {}),
+    (b'{"ab": 1}', 0, {}),
+    (b"7", 0, {}),
+    (b"\xff", 0, {}),
+    (b"", 0, {}),
+])
+def test_collect_takes_only_well_formed_verdicts_from_a_clean_exit(
+        data, status, expected):
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        os.write(w, data)
+        os._exit(status)
+    os.close(w)
+    assert cli._collect(pid, r, [4, 7]) == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_traced_witness_names_stay_on_the_paths(tmp_path, monkeypatch):

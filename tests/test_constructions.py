@@ -241,6 +241,9 @@ def test_sum_explicit_a_validated():
         SumParams(6, 2, a=3)  # parity mismatch
     with pytest.raises(InfeasibleParams):
         SumParams(4, 6, a=4)  # antichain cannot fit outside the tail
+    # a counts untouched elements; -1 has the parity of 5 and fits
+    with pytest.raises(InfeasibleParams, match="a=-1 must be non-negative"):
+        SumParams(5, 2, a=-1)
 
 
 def test_sum_pair_never_beats_extremal_pair():

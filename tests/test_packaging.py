@@ -84,9 +84,10 @@ def test_import_leaves_out_single_path_modules():
     """The thread pool (and the logging it pulls in) loads only for a
     threaded compiled anneal, the witness timestamp needs no datetime,
     and the record types need neither dataclasses nor the inspect, ast,
-    dis and tokenize modules it imports."""
+    dis and tokenize modules it imports.  verify forks its workers with
+    os.fork, without multiprocessing."""
     left_out = {"concurrent.futures", "datetime", "dataclasses", "inspect",
-                "ast", "dis", "tokenize"}
+                "ast", "dis", "tokenize", "multiprocessing"}
     code = ("import sys, sperner.cli, sperner.search; "
             f"print(sorted({left_out!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code],

@@ -249,6 +249,11 @@ def test_parse_rejects_malformed(mutate, hint):
         parse_witness(json.dumps(doc))
 
 
+def test_parse_rejects_nesting_past_the_recursion_limit():
+    with pytest.raises(WitnessFormatError, match="^not valid JSON: maximum recursion"):
+        parse_witness("[" * 3000)
+
+
 def _large(bad):
     # n = 14, family 1 holds 12,000 masks with one bad entry in the middle
     fam = list(range(1, 12_001))
