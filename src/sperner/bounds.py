@@ -21,7 +21,7 @@ from math import comb, isqrt
 from typing import NamedTuple, Optional, Union
 
 from .errors import BadGround, UnknownBound
-from .lattice import MAX_GROUND, check_ground
+from .lattice import check_ground
 
 Value = Union[Fraction, float]
 

@@ -46,6 +46,7 @@ from .search import (
     resolve_threads,
 )
 from .witness import (
+    _read_text,
     _witness_chunks,
     check_witness,
     dumps_witness,  # noqa: F401  perfbench/spans.py traces it by this name
@@ -172,14 +173,9 @@ def _verdict(path: str) -> tuple[int, str]:
     """One file checked: (0, its OK line), (1, its INVALID line) or
     (2, the stderr line for a file that cannot be read)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        payload = parse_witness(_read_text(path))
     except OSError as e:
         return 2, f"error: cannot read {path}: {e.strerror or e}"
-    except UnicodeDecodeError as e:
-        return 1, f"INVALID {path}: not valid UTF-8: {e.reason} at byte {e.start}"
-    try:
-        payload = parse_witness(text)
     except WitnessFormatError as e:
         return 1, f"INVALID {path}: {e}"
     problems = check_witness(payload)

@@ -1,17 +1,17 @@
 """Builders for cross-Sperner tuples with known measures.
 
-Two shapes:
+Two shapes, each with one builder and one closed form:
 
-* block patterns (`_pattern`): split the ground set into disjoint blocks,
+* block patterns, `_pattern`, sized by `_pattern_sizes`: disjoint blocks,
   each with a colex downset D_c and its complement upset U_c; for an
   antichain S_1..S_k of block sets, family i takes U_c on the blocks c in
   S_i and D_c elsewhere.  The extremal product pair (blocks {1} and {n}),
   the block product tuples (D_c on family c's own block only) and the
-  fixed-prefix tuples (one-element blocks on [ell], free tails) are such;
-* antichain complements: the extremal sum pair, {1..floor(n/2)} against
-  everything incomparable to it, and the tagged-antichain sum tuples,
-  k-1 singleton families {i} + tail block plus everything incomparable
-  to that antichain as the k-th family.
+  fixed-prefix tuples (one-element blocks on [ell], free tails);
+* antichain complements, `_complement`, sized by the ANTICHAIN_COMP
+  bound: a singleton family per antichain member, then everything
+  incomparable to the antichain.  The extremal sum pair
+  ({1..floor(n/2)}) and the tagged-antichain sum tuples ({i} + tail).
 
 Every builder re-verifies its output with is_cross_sperner before
 returning, so a returned tuple is always a valid witness.
@@ -19,9 +19,11 @@ returning, so a returned tuple is always a valid witness.
 
 from __future__ import annotations
 
+from itertools import islice
+from math import comb, prod
 from typing import Optional
 
-from .bounds import min_ground_for_antichain
+from .bounds import BoundId, eval_bound, min_ground_for_antichain
 from .errors import (
     AntichainTooSmall,
     BadGround,
@@ -37,6 +39,13 @@ from .lattice import (
     incomparable_complement,
     is_cross_sperner,
 )
+
+
+def _check_width(n: int, k: int) -> None:
+    """The (n, k) check every parameter record starts with."""
+    check_ground(n, minimum=1)
+    if k < 2:
+        raise BadGround(f"need k >= 2, got {k}")
 
 
 def _verified(t: FamilyTuple) -> FamilyTuple:
@@ -70,6 +79,26 @@ def _pattern(n: int, blocks, uppers) -> FamilyTuple:
     return _verified(FamilyTuple(n, tuple(families)))
 
 
+def _pattern_sizes(blocks, uppers) -> tuple[int, ...]:
+    """_pattern's family sizes, unbuilt: |F_i| = prod_c (bit c of
+    uppers[i] ? 2^size_c - d_c : d_c)."""
+    return tuple(prod((1 << size) - d if upper >> c & 1 else d
+                      for c, (_, size, d) in enumerate(blocks))
+                 for upper in uppers)
+
+
+def _complement(n: int, antichain) -> FamilyTuple:
+    """The antichain complement tuple: one singleton family per mask of
+    the antichain, then every set comparable to none of them."""
+    rest = incomparable_complement(Family.from_masks(n, antichain))
+    if not rest.members:
+        raise InfeasibleParams(
+            "every subset is comparable to the antichain, family k would be empty"
+        )
+    families = tuple(Family(n, 1 << m) for m in antichain) + (rest,)
+    return _verified(FamilyTuple(n, families))
+
+
 def build_pair_product(n: int) -> FamilyTuple:
     """The extremal product pair: sets containing 1 but not n versus sets
     containing n but not 1.  Both have 2^(n-2) members."""
@@ -83,8 +112,7 @@ def build_pair_sum(n: int) -> FamilyTuple:
     everything incomparable to it, together scoring
     2^n - 2^ceil(n/2) - 2^floor(n/2) + 2."""
     check_ground(n, minimum=2)
-    f = Family(n, 1 << ((1 << (n // 2)) - 1))
-    return _verified(FamilyTuple(n, (f, incomparable_complement(f))))
+    return _complement(n, [(1 << n // 2) - 1])
 
 
 # -- block product tuples ----------------------------------------------------
@@ -107,9 +135,7 @@ class ProductParams(_Record):
 
     def __init__(self, n: int, k: int,
                  segments: Optional[tuple[int, ...]] = None):
-        check_ground(n, minimum=1)
-        if k < 2:
-            raise BadGround(f"need k >= 2, got {k}")
+        _check_width(n, k)
         if segments is not None:
             segments = tuple(segments)
             if len(segments) != k:
@@ -136,25 +162,12 @@ class ProductParams(_Record):
         return tuple(max(1, (1 << b) // self.k) for b in self.block_sizes())
 
     def predicted_sizes(self) -> tuple[int, ...]:
-        t = self.segment_sizes()
-        sizes = self.block_sizes()
-        out = []
-        for i in range(self.k):
-            s = t[i]
-            for j in range(self.k):
-                if j != i:
-                    s *= (1 << sizes[j]) - t[j]
-            out.append(s)
-        return tuple(out)
+        return _pattern_sizes(*_product_layout(self))
 
 
-def build_product_tuple(p: ProductParams) -> FamilyTuple:
-    """Materialize the block product tuple for p.
-
-    Family i = {F : F cap block_i in segment_i, F cap block_j in
-    complement_j for j != i}; its size is segments[i] times the product of
-    the complement counts of the other blocks.
-    """
+def _product_layout(p: ProductParams):
+    """The checked (start, size, d) blocks and the uppers of p's pattern:
+    family i takes the downset on block i only."""
     blocks = []
     start = 0  # the elements before block i
     for i, (size, t) in enumerate(zip(p.block_sizes(), p.segment_sizes())):
@@ -170,7 +183,17 @@ def build_product_tuple(p: ProductParams) -> FamilyTuple:
         blocks.append((start, size, t))
         start += size
     full = (1 << p.k) - 1
-    return _pattern(p.n, blocks, [full ^ 1 << i for i in range(p.k)])
+    return blocks, [full ^ 1 << i for i in range(p.k)]
+
+
+def build_product_tuple(p: ProductParams) -> FamilyTuple:
+    """Materialize the block product tuple for p.
+
+    Family i = {F : F cap block_i in segment_i, F cap block_j in
+    complement_j for j != i}; its size is segments[i] times the product of
+    the complement counts of the other blocks.
+    """
+    return _pattern(p.n, *_product_layout(p))
 
 
 # -- tagged-antichain sum tuples ---------------------------------------------
@@ -211,9 +234,7 @@ class SumParams(_Record):
     a: int
 
     def __init__(self, n: int, k: int, a: Optional[int] = None):
-        check_ground(n, minimum=1)
-        if k < 2:
-            raise BadGround(f"need k >= 2, got {k}")
+        _check_width(n, k)
         if a is None:
             a = _auto_a(n, k)
         if a < 0:
@@ -245,29 +266,16 @@ class SumParams(_Record):
         return tuple(g | (1 << i) for i in range(self.k - 1))
 
     def predicted_sum(self) -> int:
-        # (k-1) + 2^n - comparability of the antichain, all integers here
-        t = self.tail
-        comp = (
-            self.k * (1 << t)
-            + (1 << (self.n - t))
-            - (1 << (self.n - t - (self.k - 1)))
-            - (self.k - 1)
-        )
-        return (self.k - 1) + (1 << self.n) - comp
+        # (k-1) + 2^n - comparability of the antichain; k - 1 <= n - tail
+        # makes the comparability an integer
+        comp = eval_bound(BoundId.ANTICHAIN_COMP, self.n, self.k, ell=self.tail)
+        return (self.k - 1) + (1 << self.n) - int(comp.value)
 
 
 def build_sum_tuple(p: SumParams) -> FamilyTuple:
     """Materialize the tagged-antichain sum tuple for p: k-1 singleton
     families plus the incomparable remainder as family k."""
-    members = p.antichain_masks()
-    antichain = Family.from_masks(p.n, members)
-    rest = incomparable_complement(antichain)
-    if not rest.members:
-        raise InfeasibleParams(
-            "every subset is comparable to the antichain, family k would be empty"
-        )
-    families = tuple(Family(p.n, 1 << m) for m in members) + (rest,)
-    return _verified(FamilyTuple(p.n, families))
+    return _complement(p.n, p.antichain_masks())
 
 
 # -- fixed-prefix tuples -----------------------------------------------------
@@ -285,17 +293,13 @@ class PrefixParams(_Record):
     ell: int
 
     def __init__(self, n: int, k: int, ell: Optional[int] = None):
-        check_ground(n, minimum=1)
-        if k < 2:
-            raise BadGround(f"need k >= 2, got {k}")
+        _check_width(n, k)
         if ell is None:
             ell = min_ground_for_antichain(k)
         if ell < 0:
             raise BadGround(f"prefix ground ell={ell} is negative")
         if ell > n:
             raise BadGround(f"prefix ground ell={ell} exceeds n={n}")
-        from math import comb
-
         if comb(ell, ell // 2) < k:
             raise AntichainTooSmall(
                 f"the middle layer of a {ell}-element ground holds only "
@@ -307,13 +311,8 @@ class PrefixParams(_Record):
 
     def prefix_masks(self) -> tuple[int, ...]:
         half = self.ell // 2
-        out = []
-        for m in range(1 << self.ell):
-            if m.bit_count() == half:
-                out.append(m)
-                if len(out) == self.k:
-                    break
-        return tuple(out)
+        middle = (m for m in range(1 << self.ell) if m.bit_count() == half)
+        return tuple(islice(middle, self.k))
 
 
 def build_prefix_tuple(p: PrefixParams) -> FamilyTuple:

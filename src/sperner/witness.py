@@ -232,9 +232,21 @@ def parse_witness(text: str) -> dict[str, Any]:
     return out
 
 
+def _read_text(path: str) -> str:
+    """The text of a witness file, which must be UTF-8.  Its bytes are
+    dropped on return, before the text is parsed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise WitnessFormatError(
+            f"not valid UTF-8: {e.reason} at byte {e.start}"
+        ) from None
+
+
 def load_witness(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_witness(fh.read())
+    return parse_witness(_read_text(path))
 
 
 def tuple_of_witness(payload: dict[str, Any]) -> FamilyTuple:

@@ -5,6 +5,7 @@ from sperner.constructions import (
     ProductParams,
     SumParams,
     _pattern,
+    _pattern_sizes,
     build_pair_product,
     build_pair_sum,
     build_prefix_tuple,
@@ -23,9 +24,11 @@ from sperner.lattice import (
     Family,
     colex_initial_segment,
     comparability_number,
+    comparable,
     elements_of_mask,
     is_antichain,
     is_cross_sperner,
+    mask_from_elements,
 )
 
 
@@ -143,6 +146,19 @@ def test_product_custom_segments_checked():
         build_product_tuple(ProductParams(6, 3, (5, 1, 1)))
     with pytest.raises(EmptyBlock):
         build_product_tuple(ProductParams(6, 3, (4, 1, 1)))
+    # the closed form runs the builder's segment checks: it no longer
+    # prices a segment past its block, (27, -5), or one that empties
+    # the complement, (12, 0)
+    for segments, error, message in (
+        ((9, 1), BadSegmentSize, "segment size 9 on block 1 outside 1..4"),
+        ((4, 1), EmptyBlock,
+         "segment swallows all of block 1, its complement part is empty"),
+    ):
+        p = ProductParams(4, 2, segments)
+        for make in (p.predicted_sizes, lambda: build_product_tuple(p)):
+            with pytest.raises(error) as e:
+                make()
+            assert str(e.value) == message
 
 
 @pytest.mark.parametrize(
@@ -179,6 +195,44 @@ def test_pattern_builds_a_tuple_no_public_builder_makes():
     assert is_cross_sperner(t).ok
     floor, _ = _best_construction(8, 7, True)
     assert floor == 2_097_152 < t.product_size()
+    assert _pattern_sizes(blocks, uppers) == t.sizes()
+
+
+def test_pattern_sizes_closed_form_matches_every_builder(monkeypatch):
+    # every pattern a public builder hands to _pattern is priced exactly
+    # by the closed form, and ProductParams.predicted_sizes is that price
+    import itertools
+
+    import sperner.constructions as constructions
+
+    seen = []
+
+    def spy(n, blocks, uppers):
+        blocks, uppers = list(blocks), list(uppers)
+        t = _pattern(n, blocks, uppers)
+        seen.append((_pattern_sizes(blocks, uppers), t.sizes()))
+        return t
+
+    monkeypatch.setattr(constructions, "_pattern", spy)
+    for n in range(2, 11):
+        build_pair_product(n)
+    for n in range(1, 9):
+        for k in range(2, 5):
+            sizes = ProductParams(n, k).block_sizes()
+            for segs in itertools.product(*(range(1, (1 << b)) for b in sizes)):
+                p = ProductParams(n, k, segs)
+                assert p.predicted_sizes() == build_product_tuple(p).sizes()
+    for n in range(1, 10):
+        for k in range(2, 7):
+            for ell in range(n + 1):
+                try:
+                    p = PrefixParams(n, k, ell)
+                except SpernerError:
+                    continue
+                build_prefix_tuple(p)
+    assert len(seen) > 700
+    for predicted, built in seen:
+        assert predicted == built
 
 
 # tagged-antichain sum tuples
@@ -191,6 +245,38 @@ def test_sum_tuple_shape():
     assert t.sizes()[:2] == (1, 1)
     assert is_cross_sperner(t).ok
     assert t.sum_size() == p.predicted_sum()
+
+
+def test_sum_families_are_the_antichain_and_its_complement():
+    # family i < k is exactly {A_i} and family k exactly the sets
+    # comparable to no A_i, for the extremal pair and for every record
+    # SumParams accepts; A_i = {i} + the tail block of the last
+    # (n - a) / 2 elements
+    cases = []
+    for n in range(2, 11):
+        half = mask_from_elements(range(1, n // 2 + 1), n)
+        cases.append((n, [half], lambda n=n: build_pair_sum(n)))
+        for k in range(2, 7):
+            for a in [None, *range(n % 2, n + 1, 2)]:
+                try:
+                    p = SumParams(n, k, a)
+                except SpernerError:
+                    continue
+                tail = range(n - (n - p.a) // 2 + 1, n + 1)
+                anti = [mask_from_elements([i, *tail], n) for i in range(1, k)]
+                cases.append((n, anti, lambda p=p: build_sum_tuple(p)))
+    built = 0
+    for n, anti, build in cases:
+        rest = [m for m in range(1 << n)
+                if not any(comparable(m, x) for x in anti)]
+        if not rest:
+            with pytest.raises(InfeasibleParams):
+                build()
+            continue
+        t = build()
+        assert [f.masks() for f in t.families] == [[x] for x in anti] + [rest]
+        built += 1
+    assert built > 150
 
 
 def test_sum_tuple_antichain_comparability_closed_form():

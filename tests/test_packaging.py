@@ -33,6 +33,41 @@ def test_package_imports_only_the_standard_library():
     assert not outside
 
 
+def _module_level(body):
+    """The statements of a module body outside function and class
+    bodies, those nested in if and try blocks included."""
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            yield node
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level(getattr(node, field, []))
+
+
+def test_modules_use_every_module_level_import():
+    """A module outside __init__ uses every name it imports at module
+    level.  cli keeps dumps_witness: perfbench/spans.py traces it by
+    that name."""
+    kept = {("cli.py", "dumps_witness")}
+    package = ROOT / "src" / "sperner"
+    unused = set()
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in _module_level(tree.body):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update((path.relative_to(package).as_posix(), name)
+                      for name in imported - used)
+    assert unused == kept
+
+
 def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

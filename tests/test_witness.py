@@ -316,6 +316,17 @@ def test_parse_rejects_non_json():
         parse_witness("[1, 2]")
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    # the head of an ELF binary: byte 24 opens a two-byte sequence that
+    # byte 25 does not continue
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(9)
+                     + b"\x03\x00>\x00\x01\x00\x00\x00\xd0a" + bytes(6))
+    with pytest.raises(WitnessFormatError) as e:
+        load_witness(str(path))
+    assert str(e.value) == "not valid UTF-8: invalid continuation byte at byte 24"
+
+
 def test_elements_encoding_rejects_bad_elements():
     doc = _base()
     doc["encoding"] = "elements"
