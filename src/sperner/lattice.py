@@ -35,6 +35,7 @@ SetMask = int
 Direction = Literal["up", "down"]
 
 MAX_GROUND = 20
+MAX_LABEL = 255  # labels are bytes: a labeling holds at most 255 families
 
 UP: Direction = "up"
 DOWN: Direction = "down"
@@ -210,10 +211,10 @@ def _write_bits(positions: list[int], width: int) -> int:
 
 
 def _labels_of(t: FamilyTuple) -> bytes:
-    """The labeling of a tuple of at most 255 disjoint families: byte m is
-    the 1-based family of mask m, 0 for none.  Each family's binary
-    digits, translated to labels, are read big-endian and OR-ed, so the
-    little-endian whole puts mask m at byte m."""
+    """The labeling of a tuple of at most MAX_LABEL disjoint families:
+    byte m is the 1-based family of mask m, 0 for none.  Each family's
+    binary digits, translated to labels, are read big-endian and OR-ed,
+    so the little-endian whole puts mask m at byte m."""
     total = 1 << t.n
     acc = 0
     for j, fam in enumerate(t.families, start=1):
@@ -226,7 +227,7 @@ def _labels_of(t: FamilyTuple) -> bytes:
 def _label_bits(labels, j: int) -> int:
     """The bitset of the masks labeled j in a labeling (bytes or
     bytearray); the inverse of _labels_of, one family at a time."""
-    to_digit = b"0" * j + b"1" + b"0" * (255 - j)
+    to_digit = b"0" * j + b"1" + b"0" * (MAX_LABEL - j)
     return int(labels.translate(to_digit)[::-1], 2)
 
 

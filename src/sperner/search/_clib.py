@@ -24,9 +24,8 @@ import time
 from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_int64, c_uint8,
                     c_uint32, c_uint64)
 
-from ..lattice import MAX_GROUND
+from ..lattice import MAX_GROUND, MAX_LABEL
 
-_MAX_K = 255  # annealer labels are bytes
 _WORD = 64
 _MASK64 = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
@@ -98,12 +97,11 @@ class Library:
         self._lib = lib
 
     def upset_orbits(self, n):
-        """Same contract as the pure version, for n up to the engine's
-        TABLE_MAX_GROUND, into buffers of the Dedekind number's length."""
-        from .engine import TABLE_MAX_GROUND  # a late import: engine imports this module
-
-        _check(0 <= n <= TABLE_MAX_GROUND,
-               f"upset_orbits needs 0 <= n <= {TABLE_MAX_GROUND}, got {n}")
+        """Same contract as the pure version, for n up to 6, the largest
+        ground whose families fit the kernel's one 64-bit word, into
+        buffers of the Dedekind number's length."""
+        _check(0 <= n < len(_UPSET_COUNTS),
+               f"upset_orbits needs 0 <= n <= {len(_UPSET_COUNTS) - 1}, got {n}")
         cap = _UPSET_COUNTS[n]
         ups = (c_uint64 * cap)()
         firsts = (c_int64 * cap)()
@@ -164,7 +162,8 @@ class Library:
         whole labelings, which C reads in place."""
         _check(2 <= n <= MAX_GROUND,
                f"compiled annealer needs 2 <= n <= {MAX_GROUND}, got {n}")
-        _check(2 <= k <= _MAX_K, f"compiled annealer needs 2 <= k <= {_MAX_K}, got {k}")
+        _check(2 <= k <= MAX_LABEL,
+               f"compiled annealer needs 2 <= k <= {MAX_LABEL}, got {k}")
         total = 1 << n
         _check(isinstance(variants, bytes),
                f"annealer variants must be one bytes buffer, got {type(variants).__name__}")

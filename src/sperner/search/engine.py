@@ -18,9 +18,10 @@ from __future__ import annotations
 import os
 import time
 from array import array
-from math import isqrt
+from math import ceil
 from typing import NamedTuple
 
+from ..bounds import BoundId, eval_bound
 from ..constructions import (
     PrefixParams,
     ProductParams,
@@ -33,6 +34,7 @@ from ..constructions import (
 )
 from ..errors import GroundTooLarge, InfeasibleParams, SpernerError
 from ..lattice import (
+    MAX_LABEL,
     Family,
     FamilyTuple,
     _label_bits,
@@ -44,6 +46,7 @@ from ..lattice import (
     is_cross_sperner,
 )
 from . import _kernels_py
+from ._clib import _WORD
 from ._kernels_py import sm64_next
 
 try:
@@ -51,8 +54,9 @@ try:
 except ImportError:
     _kernels = None
 
-EXACT_MAX_GROUND = 5
-TABLE_MAX_GROUND = 5
+# the largest n whose 2**n - 2 proper masks fit the kernels' one-word pin row
+EXACT_MAX_GROUND = (_WORD + 2).bit_length() - 1
+TABLE_MAX_GROUND = 5  # a policy: a compiled n = 6 table scan takes about 4 min
 
 _DEFAULT_STEPS = 60_000
 _DEFAULT_CHAINS = 4
@@ -213,15 +217,9 @@ def min_comparability_table(n: int) -> CompTable:
                 c, pick = best[t], t
         # the m numerically lowest members: no dropped set is below a kept one
         hull = bits_of(bit_positions(ups[bu[pick]] & downs[bd[pick]])[:m])
-        s = 4 * (total * m)
-        r = isqrt(s)
-        if r * r < s:
-            r += 1
-        lower = r - m
-        rows.append(
-            CompRow(m=m, c_exact=c, lower_bound=lower, equality=c == lower,
-                    witness=Family(n, hull))
-        )
+        lower = ceil(eval_bound(BoundId.COMP_LOWER, n, m).value)
+        rows.append(CompRow(m=m, c_exact=c, lower_bound=lower,
+                            equality=c == lower, witness=Family(n, hull)))
     return CompTable(n=n, rows=tuple(rows))
 
 
@@ -294,8 +292,8 @@ def _check_config(cfg: SearchConfig, exact: bool) -> None:
         raise GroundTooLarge(f"exact search supports n <= {EXACT_MAX_GROUND}")
     if cfg.k < 2:
         raise InfeasibleParams("searches need k >= 2")
-    if not exact and cfg.k > 255:
-        raise InfeasibleParams("the annealer's byte labels need k <= 255")
+    if not exact and cfg.k > MAX_LABEL:
+        raise InfeasibleParams(f"the annealer's byte labels need k <= {MAX_LABEL}")
     if cfg.threads is not None and cfg.threads < 1:
         raise InfeasibleParams(f"threads must be at least 1, got {cfg.threads}")
     if cfg.budget_nodes is not None and cfg.budget_nodes < 1:
@@ -349,13 +347,13 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
 
 def exact_max_product(cfg: SearchConfig) -> SearchResult:
     """Largest product of family sizes over cross-Sperner k-tuples,
-    proven by exhaustive search (n <= 5)."""
+    proven by exhaustive search (n <= EXACT_MAX_GROUND = 6)."""
     return _exact(cfg, product=True)
 
 
 def exact_max_sum(cfg: SearchConfig) -> SearchResult:
     """Largest total size over cross-Sperner k-tuples, proven by
-    exhaustive search (n <= 5)."""
+    exhaustive search (n <= EXACT_MAX_GROUND = 6)."""
     return _exact(cfg, product=False)
 
 

@@ -547,6 +547,31 @@ def test_search_measure_aliases(capsys):
     assert "measure=sum value=4" in capsys.readouterr().out
 
 
+def test_search_proves_at_six(capsys):
+    # the largest exact ground; pure proofs there take up to a minute
+    pytest.importorskip("sperner.search._kernels", reason="compiled backend not built",
+                        exc_type=ImportError)
+    assert run("search", "pi", "--n", "6", "--k", "3") == 0
+    assert "value=810 status=proved" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+def test_search_exact_gate_above_six(capsys, monkeypatch, backend):
+    # 2**7 - 2 proper masks overflow the kernels' one-word pin row
+    from sperner.search import engine
+
+    if backend == "compiled":
+        kernels = pytest.importorskip(
+            "sperner.search._kernels", reason="compiled backend not built",
+            exc_type=ImportError,
+        )
+    else:
+        kernels = None
+    monkeypatch.setattr(engine, "_kernels", kernels)
+    assert run("search", "sigma", "--n", "7", "--k", "2") == 2
+    assert "exact search supports n <= 6" in capsys.readouterr().err
+
+
 def test_search_unknown_measure():
     assert run("search", "area", "--n", "3", "--k", "2") == 2
 

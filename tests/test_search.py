@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from sperner.bounds import BoundId, eval_bound
 from sperner.errors import GroundTooLarge, InfeasibleParams
 from sperner.lattice import (
     MAX_GROUND,
@@ -271,6 +272,66 @@ def test_exact_infeasible_width_returns_zero():
 def test_exact_pair_product_closed_form():
     for n in range(2, 5):
         assert exact_max_product(SearchConfig(n, 2)).value == 1 << (2 * n - 4)
+
+
+# n = 6, the largest ground whose proper masks fit the kernels' one-word
+# pin row: value, node count and witness key of each proof, compiled
+# only, since pure proofs there take up to a minute
+
+PI_SIX = {
+    2: (256, 7_734_155,
+        ((1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31),
+         (32, 34, 36, 38, 40, 42, 44, 46, 48, 50, 52, 54, 56, 58, 60, 62))),
+    3: (810, 10_978_754,
+        ((3, 5, 7, 11, 13, 15, 19, 21, 23), (24, 25, 26, 28, 30, 33, 41, 49, 56, 57),
+         (34, 36, 38, 42, 44, 46, 50, 52, 54))),
+    4: (1764, 20_393_731,
+        ((3, 7, 11, 13, 14, 15, 19), (20, 21, 22, 28, 44, 52, 60),
+         (25, 33, 37, 41, 49, 57), (26, 34, 38, 42, 50, 58))),
+}
+SIGMA_SIX = {
+    2: (50, 2_067_176,
+        ((1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 23,
+          25, 26, 27, 28, 29, 30, 31, 33, 34, 35, 36, 37, 38, 39, 41, 42, 43, 44, 45,
+          46, 47, 49, 50, 51, 52, 53, 54, 55), (56,))),
+    3: (44, 20_808_565,
+        ((1, 2, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 21, 22, 23, 25, 26,
+          27, 28, 29, 30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43, 44, 45, 46, 47, 49,
+          50, 51), (52,), (56,))),
+    4: (40, 68_683_083,
+        ((1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19, 21, 22, 23, 25, 26, 27,
+          28, 29, 30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43, 49, 50, 51), (44,), (52,),
+         (56,))),
+}
+
+
+@pytest.fixture
+def compiled_build():
+    pytest.importorskip("sperner.search._kernels", reason="compiled backend not built",
+                        exc_type=ImportError)
+
+
+@pytest.mark.parametrize("k", sorted(PI_SIX))
+def test_exact_product_at_six(compiled_build, k):
+    value, nodes, key = PI_SIX[k]
+    res = _check_exact(exact_max_product(SearchConfig(6, k)), value, key)
+    assert (res.witness.product_size(), res.nodes, res.backend) == (
+        value, nodes, "compiled")
+
+
+@pytest.mark.parametrize("k", sorted(SIGMA_SIX))
+def test_exact_sum_at_six(compiled_build, k):
+    value, nodes, key = SIGMA_SIX[k]
+    res = _check_exact(exact_max_sum(SearchConfig(6, k)), value, key)
+    assert (res.witness.sum_size(), res.nodes, res.backend) == (value, nodes, "compiled")
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_proofs_at_six_refute_the_product_conjecture(k):
+    # the paper's counterexamples to the 2011 conjecture, as proved above
+    conjectured = eval_bound(BoundId.PRODUCT_CONJECTURED_UPPER, 6, k)
+    assert conjectured.applicable
+    assert PI_SIX[k][0] > conjectured.value
 
 
 # determinism: node counts are part of the contract
@@ -1212,8 +1273,8 @@ class TestCompiledGuards:
 
         lib = Library(gcc_library)
         lib._lib = None  # a call into C would raise AttributeError
-        for n in (-1, TABLE_MAX_GROUND + 1):
-            with pytest.raises(ValueError, match=f"0 <= n <= {TABLE_MAX_GROUND}"):
+        for n in (-1, 7):  # one 64-bit word holds a family up to n = 6
+            with pytest.raises(ValueError, match="0 <= n <= 6"):
                 lib.upset_orbits(n)
 
 
