@@ -194,10 +194,10 @@ def eval_bound(
         return BoundValue(value, ok, note)
 
     if bound is BoundId.COMP_LOWER:
+        if not 1 <= m <= two_n:
+            return BoundValue(Fraction(0), False, f"needs a family size 1 <= m <= 2^{n}")
         value = _minus_sqrt(Fraction(-m), Fraction(-2), Fraction(two_n * m))
-        ok = 1 <= m <= two_n
-        note = "" if ok else f"needs a family size 1 <= m <= 2^{n}"
-        return BoundValue(value, ok, note)
+        return BoundValue(value, True)
 
     if bound is BoundId.ANTICHAIN_COMP:
         if ell is None:

@@ -6,16 +6,16 @@ heuristic runs one annealing chain per thread with seeds derived from the
 configured seed, so a fixed (seed, threads) pair reproduces exactly.
 
 One rule, in `_select`, picks the kernels for every search: the compiled
-ones whenever their library loads, the pure ones otherwise.  Compiled
-chains release the interpreter lock and run on a thread pool; pure
-chains would only take turns on it, so they run one after another in
-seed order, in the calling thread.  That way Ctrl-C stops a pure search
-at once, where a pool would first wait for its running chains.
+ones whenever their library loads, the pure ones otherwise.  Either way
+each chain runs on its own daemon thread, all started at once: compiled
+chains release the interpreter lock and run in parallel, pure chains take
+turns on it, so every chain steps before a shared deadline.  The caller
+waits in an interruptible join, so Ctrl-C stops a search at once.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 import time
 from array import array
 from math import ceil
@@ -60,6 +60,7 @@ TABLE_MAX_GROUND = 5  # a policy: a compiled n = 6 table scan takes about 4 min
 
 _DEFAULT_STEPS = 60_000
 _DEFAULT_CHAINS = 4
+_MAX_CHAINS = 256  # chains run at once, one thread and one chain's memory each
 _T0 = 0.35
 _ALPHA = 0.99993
 _RESTART = 10_000
@@ -79,13 +80,9 @@ class SearchConfig(NamedTuple):
     check.  mode is not read by the engine, whose entry points each
     serve one mode; it records the caller's intent.  threads
     fixes the chain count for the heuristic (exact results never depend
-    on it); it must be at least 1, and None means 4.  Compiled chains run
-    on a thread pool, pure chains one after another in the calling
-    thread, so that Ctrl-C stops them at once, with the same result for a
-    given (seed, threads).  Under budget_secs that means the first pure
-    chain may spend the whole budget, and compiled chains beyond the CPU
-    count may start after the deadline, so fewer than `threads` chains
-    may take a step.  target stops a search early once
+    on it); it must be in 1..256, and None means 4.  Every chain starts at
+    once on its own thread, so under budget_secs every chain takes steps.
+    target stops a search early once
     the value is reached; it must be at least 1, and None means no target.
     """
 
@@ -296,6 +293,10 @@ def _check_config(cfg: SearchConfig, exact: bool) -> None:
         raise InfeasibleParams(f"the annealer's byte labels need k <= {MAX_LABEL}")
     if cfg.threads is not None and cfg.threads < 1:
         raise InfeasibleParams(f"threads must be at least 1, got {cfg.threads}")
+    if cfg.threads is not None and cfg.threads > _MAX_CHAINS:
+        raise InfeasibleParams(
+            f"threads must be at most {_MAX_CHAINS}, got {cfg.threads}"
+        )
     if cfg.budget_nodes is not None and cfg.budget_nodes < 1:
         raise InfeasibleParams(
             f"budget_nodes must be at least 1, got {cfg.budget_nodes}"
@@ -388,6 +389,32 @@ def _variants(n: int, k: int, product: bool, seed: int) -> bytes:
     return pool
 
 
+def _run_chains(run, seeds: list[int]) -> list:
+    """[run(seed) for seed in seeds], each on its own daemon thread, all
+    started at once.  Each thread stores its result, or the exception it
+    raised, in its own slot; the first exception in seed order is raised
+    once every thread has ended.  The join can be interrupted, and daemon
+    threads end with the process, so Ctrl-C stops the search at once."""
+    slots: list = [None] * len(seeds)
+
+    def chain(i: int, seed: int) -> None:
+        try:
+            slots[i] = run(seed)
+        except BaseException as e:
+            slots[i] = e
+
+    threads = [threading.Thread(target=chain, args=(i, seed), daemon=True)
+               for i, seed in enumerate(seeds)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for out in slots:
+        if isinstance(out, BaseException):
+            raise out
+    return slots
+
+
 def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
     _check_config(cfg, exact=False)
     start = time.monotonic()
@@ -409,15 +436,7 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
             _T0, _ALPHA, _RESTART, stop, deadline,
         )
 
-    if kern is not _kernels_py:  # compiled chains release the interpreter lock
-        # imported here, not at the top: no other path needs the pool or
-        # the logging it loads, and every command pays the top's imports
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as ex:
-            outs = list(ex.map(run, seeds))
-    else:
-        outs = [run(chain_seed) for chain_seed in seeds]
+    outs = _run_chains(run, seeds)
     # best value, then least canonical key, then seed order; a key is
     # made only when chains tie, once for each of them
     best_val = max(out[0] for out in outs)

@@ -143,8 +143,9 @@ def parse_witness(text: str) -> dict[str, Any]:
     """
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: nesting deeper than the interpreter's limit
+    except (ValueError, RecursionError) as e:
+        # ValueError: JSONDecodeError, or an integer past the interpreter's
+        # digit limit; RecursionError: nesting deeper than its depth limit
         raise WitnessFormatError(f"not valid JSON: {e}") from None
     if not isinstance(payload, dict):
         _fail("top level must be a JSON object")

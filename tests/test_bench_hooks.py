@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
-from sperner.search import SearchConfig, anneal_max_product
+from sperner.cli import main
+from sperner.search import SearchConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,22 +39,27 @@ def _kernel_modules():
     return [_kernels_py, _kernels]
 
 
-def test_tracer_installs_traces_and_uninstalls(monkeypatch):
+def test_tracer_installs_traces_and_uninstalls(monkeypatch, capsys):
     spans = _load("spans", monkeypatch)
     tracer = spans.Tracer()
     tracer.install()
     try:
         patched = list(tracer._undo)
-        res = anneal_max_product(SearchConfig(4, 3, mode="heuristic", seed=1,
-                                              threads=2, budget_nodes=50))
+        code = main(["search", "pi", "--n", "4", "--k", "3", "--mode", "heuristic",
+                     "--seed", "1", "--threads", "2", "--budget-nodes", "50"])
     finally:
         tracer.uninstall()
+    assert code == 0
+    nodes = int(re.search(r"nodes=(\d+)", capsys.readouterr().out).group(1))
     assert patched
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, attr
     chains = [sp for sp in tracer.spans if sp.name == "kernel.anneal_chain"]
-    assert len(chains) == 2 and sum(sp.count for sp in chains) == res.nodes
+    assert len(chains) == 2 and sum(sp.count for sp in chains) == nodes
     assert [sp.name for sp in tracer.spans].count("engine._variants") == 1
+    # layer_metrics pools chains by their parent span
+    (search,) = [sp for sp in tracer.spans if sp.name == "engine.anneal_max_product"]
+    assert all(sp.parent == search.id for sp in chains)
 
 
 def test_parity_kernels_exist_and_replay(monkeypatch, capsys):

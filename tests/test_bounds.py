@@ -180,6 +180,8 @@ def test_comp_lower_closed_form():
     assert val(BoundId.COMP_LOWER, 4, 4) == Fraction(-4 + 2 * 8)
     assert eval_bound(BoundId.COMP_LOWER, 4, 0).applicable is False
     assert eval_bound(BoundId.COMP_LOWER, 4, 17).applicable is False
+    assert eval_bound(BoundId.COMP_LOWER, 4, -1) == (
+        0, False, "needs a family size 1 <= m <= 2^4")
 
 
 def test_antichain_comp_matches_measured_comparability():

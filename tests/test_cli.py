@@ -140,6 +140,15 @@ def test_verify_mixed_files_fail_together(tmp_path, capsys):
     assert sum(l.startswith("INVALID") for l in lines) == 1
 
 
+def test_verify_reports_an_integer_past_the_digit_limit(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1' + "0" * 4300 + "}")
+    assert run("verify", str(huge)) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"INVALID {huge}: not valid JSON: Exceeds the limit")
+    assert err == ""
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     assert run("verify", "/nonexistent/w.json") == 2
 
@@ -519,11 +528,19 @@ def test_search_rejects_target_below_one(capsys, mode, target):
     assert "target must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["exact", "heuristic"])
-def test_search_rejects_zero_threads(capsys, mode):
+@pytest.mark.parametrize("mode,threads,message", [
+    pytest.param(mode, threads, message, id=mode + suffix)
+    for threads, message, suffix in [("0", "threads must be at least 1", ""),
+                                     ("257", "threads must be at most 256", "-257")]
+    for mode in ["exact", "heuristic"]
+])
+def test_search_rejects_zero_threads(capsys, monkeypatch, mode, threads, message):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", started.append)
     assert run("search", "pi", "--n", "5", "--k", "3", "--mode", mode,
-               "--threads", "0") == 2
-    assert "threads must be at least 1" in capsys.readouterr().err
+               "--threads", threads) == 2
+    assert message in capsys.readouterr().err
+    assert started == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
@@ -704,6 +721,16 @@ def test_bounds_m_and_ell_overrides(capsys):
     anti = next(l for l in text.splitlines() if "antichain-comp" in l)
     assert "[n/a]" not in comp
     assert "70" in anti
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "8", "--k", "2", "--m", "-1"],
+    ["table", "bounds", "--n", "8", "--k", "2", "--m", "-3"],
+])
+def test_bounds_negative_m_is_not_applicable(capsys, argv):
+    assert run(*argv) == 0
+    comp = next(l for l in capsys.readouterr().out.splitlines() if "comp-lower" in l)
+    assert comp.split(maxsplit=2)[1:] == ["0", "[n/a] needs a family size 1 <= m <= 2^8"]
 
 
 def test_bounds_rejects_width_one():

@@ -116,14 +116,17 @@ def test_inplace_build_writes_the_package_bytecode(tmp_path, compiler):
 
 
 def test_import_leaves_out_single_path_modules():
-    """The thread pool (and the logging it pulls in) loads only for a
-    threaded compiled anneal, the witness timestamp needs no datetime,
-    and the record types need neither dataclasses nor the inspect, ast,
-    dis and tokenize modules it imports.  verify forks its workers with
-    os.fork, without multiprocessing."""
+    """Annealing chains run on plain threads, so not even a threaded
+    search loads a thread pool or the logging it pulls in; the witness
+    timestamp needs no datetime, and the record types need neither
+    dataclasses nor the inspect, ast, dis and tokenize modules it
+    imports.  verify forks its workers with os.fork, without
+    multiprocessing."""
     left_out = {"concurrent.futures", "datetime", "dataclasses", "inspect",
                 "ast", "dis", "tokenize", "multiprocessing"}
-    code = ("import sys, sperner.cli, sperner.search; "
+    code = ("import sys, sperner.cli, sperner.search as s; "
+            "s.anneal_max_product(s.SearchConfig(4, 3, mode='heuristic', seed=1, "
+            "threads=2, budget_nodes=50)); "
             f"print(sorted({left_out!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=_fresh_env(ROOT / "src"), capture_output=True,

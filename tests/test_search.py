@@ -4,9 +4,11 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from sperner.search import (
     exact_max_sum,
     min_comparability_table,
 )
+from sperner.search._kernels_py import sm64_next
 from sperner.search.engine import _reflect_bits, resolve_threads
 
 from .oracles import (
@@ -501,8 +504,8 @@ def test_anneal_thread_count_changes_exploration_not_validity():
 
 
 def test_pure_anneal_frozen_at_7_3(monkeypatch):
-    # frozen on the pure kernels, whose chains run one after another; the
-    # compiled ones, which serve every search when built, run them on a pool
+    # frozen on the pure kernels; the compiled ones serve every search when
+    # built, and both run each chain on its own thread with the same result
     from sperner.search import engine
 
     cfg = SearchConfig(7, 3, mode="heuristic", seed=1, threads=2, budget_nodes=200)
@@ -524,6 +527,98 @@ def test_pure_anneal_frozen_at_7_3(monkeypatch):
             (97,),
             (98,),
         )
+
+
+def _kernels_for(backend, monkeypatch):
+    """The kernel module that serves a search on the backend, selected."""
+    from sperner.search import engine
+
+    if backend == "pure":
+        monkeypatch.setattr(engine, "_kernels", None)
+    else:
+        pytest.importorskip("sperner.search._kernels",
+                            reason="compiled backend not built", exc_type=ImportError)
+    return engine._select()
+
+
+@pytest.mark.parametrize("backend,n,threads,secs", [
+    ("pure", 7, 2, 0.3),
+    ("compiled", 14, 4, 0.5),
+])
+def test_every_chain_steps_under_a_time_budget(monkeypatch, backend, n, threads, secs):
+    # pure chains take turns on the interpreter lock, and compiled ones past
+    # the CPU count run too, so none starts after the shared deadline
+    kern = _kernels_for(backend, monkeypatch)
+    chain = kern.anneal_chain
+    steps = {}
+
+    def recorded(*args):
+        out = chain(*args)
+        steps[args[4]] = out[2]
+        return out
+
+    monkeypatch.setattr(kern, "anneal_chain", recorded)
+    res = anneal_max_product(SearchConfig(n, 3, mode="heuristic", seed=1,
+                                          threads=threads, budget_secs=secs))
+    assert len(steps) == threads and min(steps.values()) >= 1, steps
+    assert res.nodes == sum(steps.values())
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_chain_error_is_raised_after_every_thread_ends(monkeypatch, backend):
+    kern = _kernels_for(backend, monkeypatch)
+    chain = kern.anneal_chain
+    _, first = sm64_next(1)  # the seed of chain 0 at seed 1
+
+    def failing(*args):
+        if args[4] == first:
+            raise MemoryError("chain out of memory")
+        return chain(*args)
+
+    monkeypatch.setattr(kern, "anneal_chain", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="chain out of memory"):
+        anneal_max_product(SearchConfig(5, 3, mode="heuristic", seed=1, threads=4,
+                                        budget_nodes=500))
+    assert threading.active_count() == before
+
+
+_INTERRUPTED = textwrap.dedent("""
+    import os
+    import sys
+    from sperner.search import SearchConfig, anneal_max_product, engine
+
+    if sys.argv[1] == "pure":
+        engine._kernels = None
+    kern = engine._select()
+    chain = kern.anneal_chain
+
+    def announced(*args):
+        os.write(1, f"chain {args[4]}\\n".encode())  # one write: lines stay whole
+        return chain(*args)
+
+    kern.anneal_chain = announced
+    anneal_max_product(SearchConfig(int(sys.argv[2]), 3, mode="heuristic",
+                                    seed=1, threads=2))
+""")
+
+
+@pytest.mark.parametrize("backend,n", [("pure", 12), ("compiled", 16)])
+def test_ctrl_c_stops_a_running_search(monkeypatch, backend, n):
+    _kernels_for(backend, monkeypatch)
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED, backend, str(n)],
+                            env=_src_env(), stdout=subprocess.PIPE, text=True)
+    try:
+        # one running chain is enough: Ctrl-C must stop the search whatever
+        # the others do
+        started = proc.stdout.readline()
+        assert started.startswith("chain "), started
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5) == -signal.SIGINT
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 KNOWN_TARGETS = [

@@ -254,6 +254,12 @@ def test_parse_rejects_nesting_past_the_recursion_limit():
         parse_witness("[" * 3000)
 
 
+def test_parse_rejects_an_integer_past_the_digit_limit():
+    doc = json.dumps(_base()).replace('"n": 3', '"n": 1' + "0" * 4300)
+    with pytest.raises(WitnessFormatError, match="^not valid JSON: Exceeds the limit"):
+        parse_witness(doc)
+
+
 def _large(bad):
     # n = 14, family 1 holds 12,000 masks with one bad entry in the middle
     fam = list(range(1, 12_001))
