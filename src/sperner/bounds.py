@@ -2,8 +2,9 @@
 
 Every bound evaluates to an exact Fraction whenever its formula is rational
 in integer powers of two; only square roots of non-squares and the
-constant e force a float, and float comparisons elsewhere in the package
-treat those values with a 1e-12 relative tolerance.  Hypothesis checks
+constant e force a float, which reads inf past the float range, and float
+comparisons elsewhere in the package treat those values with a 1e-12
+relative tolerance.  Hypothesis checks
 (parity, thresholds like 2^n >= (k-1)(1+sqrt(k-1))^2) are done in integer
 arithmetic by comparing squares, never through floats.
 
@@ -15,6 +16,7 @@ hypothesis, so bound grids render completely.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import comb, isqrt
@@ -54,11 +56,13 @@ class BoundValue(NamedTuple):
 
 def render_value(v: Value) -> str:
     """Exact text for a bound value: integers plainly, rationals as p/q,
-    floats via repr.  Never formats an exact value through a float."""
+    floats via repr.  Never formats an exact value through a float.  The
+    integers go through Decimal, whose text has no digit limit, unlike
+    str(int)."""
     if isinstance(v, Fraction):
         if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+            return str(Decimal(v.numerator))
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
     return repr(v)
 
 
@@ -132,7 +136,10 @@ def eval_bound(
         return BoundValue(Fraction(0), False, f"needs k >= 2 (got k = {k})")
 
     if bound is BoundId.PRODUCT_LOWER_ASYMPTOTIC:
-        value = (two_n / (math.e * k)) ** k
+        try:
+            value = (two_n / (math.e * k)) ** k
+        except OverflowError:  # past the float range
+            value = math.inf
         # threshold under which the derivation closes:
         # 2^-floor(n/k) <= (e - (1 + 1/(k-1))^(k-1)) / (e k)
         slack = (math.e - (1 + 1 / (k - 1)) ** (k - 1)) / (math.e * k)
@@ -196,8 +203,12 @@ def eval_bound(
     if bound is BoundId.COMP_LOWER:
         if not 1 <= m <= two_n:
             return BoundValue(Fraction(0), False, f"needs a family size 1 <= m <= 2^{n}")
-        value = _minus_sqrt(Fraction(-m), Fraction(-2), Fraction(two_n * m))
-        return BoundValue(value, True)
+        # 2 sqrt(2^n m) - m, exact when 2^n m is a square
+        arg = two_n * m
+        root = isqrt(arg)
+        if root * root == arg:
+            return BoundValue(Fraction(2 * root - m), True)
+        return BoundValue(2 * math.sqrt(arg) - m, True)
 
     if bound is BoundId.ANTICHAIN_COMP:
         if ell is None:

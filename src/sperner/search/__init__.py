@@ -10,7 +10,6 @@ from .engine import (
     TABLE_MAX_GROUND,
     anneal_max_product,
     anneal_max_sum,
-    enumerate_upsets,
     exact_max_product,
     exact_max_sum,
     min_comparability_table,
@@ -27,7 +26,6 @@ __all__ = [
     "TABLE_MAX_GROUND",
     "anneal_max_product",
     "anneal_max_sum",
-    "enumerate_upsets",
     "exact_max_product",
     "exact_max_sum",
     "min_comparability_table",

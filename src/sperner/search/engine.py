@@ -134,25 +134,11 @@ def _select():
 # -- monotone families -------------------------------------------------------
 
 
-def enumerate_upsets(n: int) -> list[Family]:
-    """All upward-closed families of P([n]), empty one included.
-
-    Depth-first over masks in popcount-descending order, include branch
-    first; a mask may join only when all its immediate supersets are
-    already in.  The order is fixed and the comparability table's
-    tie-breaks refer to it.
-    """
-    check_ground(n)
-    if n > TABLE_MAX_GROUND:
-        raise GroundTooLarge(f"upset enumeration supports n <= {TABLE_MAX_GROUND}")
-    ups, _ = _upset_bits(n)
-    return [Family(n, bits) for bits in ups]
-
-
 def _upset_bits(n: int) -> tuple[list[int], list[int]]:
-    """The upset bitsets of P([n]) in enumeration order, and the ascending
-    indices of the first upset of each S_n orbit, from the selected
-    kernels' `upset_orbits`."""
+    """The upset bitsets of P([n]) in enumeration order, which the
+    comparability table's tie-breaks refer to, and the ascending indices
+    of the first upset of each S_n orbit, from the selected kernels'
+    `upset_orbits`."""
     return _select().upset_orbits(n)
 
 
@@ -204,19 +190,18 @@ def min_comparability_table(n: int) -> CompTable:
     best, bu, bd = kern.comp_scan([ups[i] for i in firsts],
                                   [usizes[i] for i in firsts],
                                   downs, usizes, total)
-    bu = [firsts[i] for i in bu]
     rows = []
-    for m in range(1, total + 1):
-        c = None
-        pick = -1
-        for t in range(m, total + 1):
-            if c is None or best[t] < c:
-                c, pick = best[t], t
+    c, pick = best[total], total
+    for m in range(total, 0, -1):
+        # the least best[t] over t >= m, at the least such t
+        if best[m] <= c:
+            c, pick = best[m], m
         # the m numerically lowest members: no dropped set is below a kept one
-        hull = bits_of(bit_positions(ups[bu[pick]] & downs[bd[pick]])[:m])
+        hull = bits_of(bit_positions(ups[firsts[bu[pick]]] & downs[bd[pick]])[:m])
         lower = ceil(eval_bound(BoundId.COMP_LOWER, n, m).value)
         rows.append(CompRow(m=m, c_exact=c, lower_bound=lower,
                             equality=c == lower, witness=Family(n, hull)))
+    rows.reverse()
     return CompTable(n=n, rows=tuple(rows))
 
 

@@ -31,11 +31,11 @@ from sperner.lattice import (
 from sperner.search import (
     SearchConfig,
     anneal_max_product,
-    enumerate_upsets,
     exact_max_product,
     exact_max_sum,
     min_comparability_table,
 )
+from sperner.search.engine import _upset_bits
 from sperner.witness import check_witness, load_witness
 
 from .oracles import max_product_exact, max_sum_exact, min_comparability_exact
@@ -249,4 +249,4 @@ def test_criterion_10_oracle_equivalence():
                 assert exact_max_product(cfg).value == max_product_exact(n, k)
                 assert exact_max_sum(cfg).value == max_sum_exact(n, k)
         for n, expected in enumerate([2, 3, 6, 20, 168, 7581]):
-            assert len(enumerate_upsets(n)) == expected
+            assert len(_upset_bits(n)[0]) == expected

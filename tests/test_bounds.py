@@ -22,10 +22,54 @@ def val(bound, n, k, **kw):
 # rendering
 
 
+def _int_of(text):
+    """The integer a decimal text names, read in chunks short enough for
+    int() at any length."""
+    digits = text.lstrip("-")
+    out = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        out = out * 10 ** len(chunk) + int(chunk)
+    return -out if text.startswith("-") else out
+
+
+def _str_text(v):
+    """The text str() gives, or None past the interpreter's digit limit."""
+    try:
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        return None
+
+
 def test_render_value():
     assert render_value(Fraction(4)) == "4"
     assert render_value(Fraction(16384, 729)) == "16384/729"
+    assert render_value(Fraction(-7, 3)) == "-7/3"
     assert render_value(2.5) == "2.5"
+    assert render_value(math.inf) == "inf"
+    # past the interpreter's 4,300-digit limit for str(int)
+    assert render_value(-Fraction(10**5000)) == "-1" + "0" * 5000
+    big = Fraction(3**20000, 2**30001)  # 9,543 and 9,032 digits
+    num, den = render_value(big).split("/")
+    assert Fraction(_int_of(num), _int_of(den)) == big
+
+
+@pytest.mark.parametrize("n", [1, 8, 13, 20])
+def test_report_renders_sampled_widths(n):
+    # exact values pass str()'s digit limit at k = 51 and 70 for n = 8 and
+    # at k = 49 for n = 20; the asymptotic float overflows at k = 85 for
+    # n = 20
+    for k in [*range(2, 9), 49, 51, 70, 85, 128]:
+        for v in bounds_report(n, k).entries.values():
+            text = render_value(v.value)
+            if isinstance(v.value, float):
+                assert text == repr(v.value)
+                continue
+            parts = text.split("/")
+            assert Fraction(*map(_int_of, parts)) == v.value
+            assert _str_text(v.value) in (None, text)
 
 
 def test_min_ground_for_antichain():
@@ -101,6 +145,14 @@ def test_product_asymptotic_gating():
     big = eval_bound(BoundId.PRODUCT_LOWER_ASYMPTOTIC, 20, 2)
     assert big.applicable
     assert big.value == pytest.approx((2**20 / (math.e * 2)) ** 2)
+
+
+def test_product_asymptotic_past_the_float_range():
+    assert eval_bound(BoundId.PRODUCT_LOWER_ASYMPTOTIC, 20, 84).value < math.inf
+    for n, k in ((20, 85), (13, 314)):
+        over = eval_bound(BoundId.PRODUCT_LOWER_ASYMPTOTIC, n, k)
+        assert over.value == math.inf
+        assert not over.applicable
 
 
 def test_conjectured_product_bound_beaten():

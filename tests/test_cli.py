@@ -733,6 +733,25 @@ def test_bounds_negative_m_is_not_applicable(capsys, argv):
     assert comp.split(maxsplit=2)[1:] == ["0", "[n/a] needs a family size 1 <= m <= 2^8"]
 
 
+@pytest.mark.parametrize("n,k", [(8, 51), (8, 70), (20, 49), (20, 85)])
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_bounds_renders_at_any_width(capsys, n, k, fmt):
+    # an exact value past str()'s digit limit, and a float bound past the
+    # float range, both render
+    assert run("bounds", "--n", str(n), "--k", str(k), "--format", fmt) == 0
+    out = capsys.readouterr().out
+    assert ("inf" in out) == (k == 85)
+
+
+def test_threads_help_states_default_and_cap(capsys):
+    from sperner.search.engine import _MAX_CHAINS, resolve_threads
+
+    assert run("search", "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"1..{_MAX_CHAINS} (default {resolve_threads(None)})" in text
+    assert "every chain runs at once" in text
+
+
 def test_bounds_rejects_width_one():
     assert run("bounds", "--n", "6", "--k", "1") == 2
 

@@ -18,6 +18,7 @@ from sperner.bounds import BoundId, eval_bound
 from sperner.errors import GroundTooLarge, InfeasibleParams
 from sperner.lattice import (
     MAX_GROUND,
+    Family,
     FamilyTuple,
     _comparable_bits,
     _label_bits,
@@ -33,13 +34,12 @@ from sperner.search import (
     SearchConfig,
     anneal_max_product,
     anneal_max_sum,
-    enumerate_upsets,
     exact_max_product,
     exact_max_sum,
     min_comparability_table,
 )
 from sperner.search._kernels_py import sm64_next
-from sperner.search.engine import _reflect_bits, resolve_threads
+from sperner.search.engine import _reflect_bits, _upset_bits, resolve_threads
 
 from .oracles import (
     component_by_frontier,
@@ -80,14 +80,12 @@ def every_backend(request):
 
 def test_upset_counts_match_known_sequence(every_backend):
     for n, expected in DEDEKIND.items():
-        assert len(enumerate_upsets(n)) == expected
         for kern in every_backend:
             assert len(kern.upset_orbits(n)[0]) == expected
 
 
 def test_upset_counts_match_brute_oracle(every_backend):
     for n in range(4):
-        assert len(enumerate_upsets(n)) == count_upsets(n)
         for kern in every_backend:
             assert len(kern.upset_orbits(n)[0]) == count_upsets(n)
 
@@ -95,14 +93,9 @@ def test_upset_counts_match_brute_oracle(every_backend):
 def test_enumerated_families_are_upsets_and_distinct():
     from sperner.lattice import is_upward_closed
 
-    fams = enumerate_upsets(4)
+    fams = [Family(4, b) for b in _upset_bits(4)[0]]
     assert len({f.members for f in fams}) == len(fams)
     assert all(is_upward_closed(f) or f.members == 0 for f in fams)
-
-
-def test_upset_enumeration_gated():
-    with pytest.raises(GroundTooLarge):
-        enumerate_upsets(6)
 
 
 # the witness tie-breaks depend on the enumeration order, so the fast
