@@ -10,9 +10,10 @@ separate threads run in parallel.
 
 C has no bounds checks, so every argument that sizes a buffer or indexes
 one is checked here first; a bad one raises ValueError before the call.
-Counts, budgets and exact-search values are int64, clamped to _INT64_MAX,
-since ctypes would wrap them; annealer values cross as _VALUE_LIMBS
-32-bit limbs, wide enough for every product of its counts.
+Lists cross as typed arrays that C reads in place and that check their
+values; no list value or exact floor wraps.  Counts, budgets and targets
+are clamped to _INT64_MAX, since ctypes would wrap them; annealer values
+cross as _VALUE_LIMBS 32-bit limbs, wide enough for every product of its counts.
 Deadlines are passed as seconds left, so the library can measure them on
 its own monotonic clock.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import time
+from array import array
 from ctypes import (POINTER, byref, c_char_p, c_double, c_int, c_int64, c_uint8,
                     c_uint32, c_uint64)
 
@@ -58,19 +60,21 @@ def _check(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _array(ctype, values):
-    values = list(values)
-    return (ctype * len(values))(*values)
-
-
-def _within(values, bits: int) -> bool:
-    """Every value is a non-negative integer below 2**bits."""
-    return all(0 <= v and not v >> bits for v in values)
+def _words(values, message: str, bits: int | None = None):
+    """The ints of values as a C view of one array: int64, or uint64 below
+    bit `bits` if given.  Any other value raises ValueError(message)."""
+    if isinstance(values, (bytes, bytearray)):
+        values = list(values)  # array() would read raw machine words
+    try:
+        words = array("q" if bits is None else "Q", values)
+    except OverflowError:
+        raise ValueError(message) from None
+    _check(bits is None or not (words and max(values) >> bits), message)
+    return ((c_int64 if bits is None else c_uint64) * len(words)).from_buffer(words)
 
 
 def _int64(value: int) -> int:
-    """A count, budget or target clamped to _INT64_MAX, which no search
-    reaches; ctypes would wrap a larger one."""
+    """A count, budget or target clamped to _INT64_MAX, which no search reaches."""
     return min(value, _INT64_MAX)
 
 
@@ -115,14 +119,13 @@ class Library:
         _check(0 <= total <= _WORD, f"comp_scan needs total <= {_WORD}, got {total}")
         _check(len(usizes) == len(upsets) and len(dsizes) == len(downsets),
                "comp_scan needs one size per upset and per downset")
-        _check(_within(upsets, total) and _within(downsets, total),
-               f"comp_scan bitsets must lie below bit {total}")
-        best = (c_int64 * (total + 1))()
-        bu = (c_int64 * (total + 1))()
-        bd = (c_int64 * (total + 1))()
+        bitsets = f"comp_scan bitsets must lie below bit {total}"
+        sizes = "comp_scan sizes must fit int64"
+        row = c_int64 * (total + 1)
+        best, bu, bd = row(), row(), row()
         self._lib.sperner_comp_scan(
-            len(upsets), _array(c_uint64, upsets), _array(c_int64, usizes),
-            len(downsets), _array(c_uint64, downsets), _array(c_int64, dsizes),
+            len(upsets), _words(upsets, bitsets, total), _words(usizes, sizes),
+            len(downsets), _words(downsets, bitsets, total), _words(dsizes, sizes),
             total, best, bu, bd)
         return best[:], bu[:], bd[:]
 
@@ -135,17 +138,15 @@ class Library:
         _check(k >= 1, f"exact_search needs k >= 1, got {k}")
         _check(len(cmp_fwd) == m_count,
                "exact_search needs one comparability row per mask")
-        _check(_within(cmp_fwd, m_count),
-               f"exact_search comparability rows must lie below bit {m_count}")
-        best = c_int64()
-        nodes = c_int64()
-        has_labels = c_int()
-        completed = c_int()
+        _check(-_INT64_MAX - 1 <= floor_value <= _INT64_MAX,
+               "exact_search floor_value must fit int64")
+        rows = f"exact_search comparability rows must lie below bit {m_count}"
+        best, nodes, has_labels, completed = c_int64(), c_int64(), c_int(), c_int()
         labels = (c_uint8 * m_count)()
         timed, left = _time_left(deadline)
         rc = self._lib.sperner_exact_search(
-            m_count, k, bool(product), _array(c_int64, masks),
-            _array(c_uint64, cmp_fwd), floor_value, _int64(target or 0),
+            m_count, k, bool(product), _words(masks, "exact_search masks must fit int64"),
+            _words(cmp_fwd, rows, m_count), floor_value, _int64(target or 0),
             _int64(node_budget or 0), timed, left,
             byref(best), labels, byref(nodes), byref(has_labels), byref(completed))
         if rc:
@@ -178,8 +179,7 @@ class Library:
         stop_limbs = (c_uint32 * _VALUE_LIMBS)(
             *(stop >> 32 * i & 0xFFFFFFFF for i in range(_VALUE_LIMBS)))
         best = (c_uint32 * _VALUE_LIMBS)()
-        done = c_int64()
-        state = c_uint64()
+        done, state = c_int64(), c_uint64()
         best_labels = (c_uint8 * total)()
         timed, left = _time_left(deadline)
         rc = self._lib.sperner_anneal_chain(

@@ -10,7 +10,10 @@ ones whenever their library loads, the pure ones otherwise.  Either way
 each chain runs on its own daemon thread, all started at once: compiled
 chains release the interpreter lock and run in parallel, pure chains take
 turns on it, so every chain steps before a shared deadline.  The caller
-waits in an interruptible join, so Ctrl-C stops a search at once.
+waits in an interruptible join, so Ctrl-C stops a heuristic search at
+once; a pure exact search stops at once too.  A compiled exact search is
+one C call that Ctrl-C cannot interrupt, so it ends only at its node
+budget, at its deadline or on completion.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def min_comparability_table(n: int) -> CompTable:
         raise GroundTooLarge(f"comparability table supports n <= {TABLE_MAX_GROUND}")
     total = 1 << n
     ups, firsts = _upset_bits(n)
-    usizes = [b.bit_count() for b in ups]
+    usizes = list(map(int.bit_count, ups))
     downs = _reflect_bits(ups, total)
     kern = _select()
     best, bu, bd = kern.comp_scan([ups[i] for i in firsts],

@@ -2,7 +2,9 @@
 cannot import it, restate it in a #define that must agree."""
 
 import ast
+import ctypes
 import re
+from array import array
 from pathlib import Path
 
 from sperner import lattice
@@ -24,6 +26,13 @@ def test_kernel_defines_match_their_python_statements():
     assert defines["ANNEAL_MAX_K"] == lattice.MAX_LABEL
     assert defines["VALUE_LIMBS"] == _clib._VALUE_LIMBS
     assert defines["UPSET_MAX_GROUND"] == len(_clib._UPSET_COUNTS) - 1
+
+
+def test_typed_arrays_hold_the_kernels_words():
+    """The bindings hand C the buffers of array("Q") and array("q") in
+    place, as the kernels' uint64_t and int64_t words."""
+    assert array("Q").itemsize == ctypes.sizeof(ctypes.c_uint64)
+    assert array("q").itemsize == ctypes.sizeof(ctypes.c_int64)
 
 
 def test_bindings_import_nothing_from_the_engine():

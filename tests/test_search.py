@@ -1356,6 +1356,112 @@ class TestCompiledGuards:
         with pytest.raises(ValueError, match="total <= 64"):
             gcc_kernels.comp_scan([1], [1], [1], [1], 65)
 
+    @pytest.fixture
+    def unbound(self, gcc_library):
+        """The gcc build with a stand-in for its library that fails the
+        test when called, so an error must come from a check before C."""
+        from sperner.search._clib import Library
+
+        class NoCalls:
+            def __getattr__(self, name):
+                def call(*args):
+                    pytest.fail(f"{name} was called")
+                return call
+
+        lib = Library(gcc_library)
+        lib._lib = NoCalls()
+        return lib
+
+    @pytest.mark.parametrize("upsets, downsets", [
+        ([1, 1 << 3], [1]),  # an upset at bit total
+        ([1], [1 << 3, 1]),  # a downset at bit total
+        ([-1], [1]),  # a negative bitset
+        ([1 << 64], [1]),  # past the word
+    ])
+    def test_comp_scan_rejects_bitsets_out_of_range(self, unbound, upsets, downsets):
+        with pytest.raises(ValueError, match="comp_scan bitsets must lie below bit 3"):
+            unbound.comp_scan(upsets, [1] * len(upsets), downsets, [1] * len(downsets), 3)
+
+    def test_comp_scan_rejects_sizes_past_int64(self, unbound, gcc_kernels):
+        # ctypes would read 2**64 + 1 as 1, where the pure kernel keeps it
+        for sizes in ([2**64 + 1], [2**63], [-2**63 - 1]):
+            with pytest.raises(ValueError, match="comp_scan sizes must fit int64"):
+                unbound.comp_scan([1], sizes, [1], [1], 1)
+            with pytest.raises(ValueError, match="comp_scan sizes must fit int64"):
+                unbound.comp_scan([1], [1], [1], sizes, 1)
+        # the ends of int64 still cross as they are; |U & D| = 1 here, so
+        # 1 + size - 1 stays in int64
+        from sperner.search import _kernels_py
+
+        for size in (2**63 - 1, -2**63):
+            args = ([1], [1], [1], [size], 1)
+            assert gcc_kernels.comp_scan(*args) == _kernels_py.comp_scan(*args)
+
+    def test_exact_search_rejects_rows_at_bit_m_count(self, unbound):
+        args = list(_exact_args(3, 2, True))
+        rows = list(args[3])
+        rows[-1] |= 1 << len(rows)
+        args[3] = rows
+        with pytest.raises(ValueError,
+                           match="exact_search comparability rows must lie below bit 6"):
+            unbound.exact_search(*args)
+
+    def test_exact_search_rejects_masks_past_int64(self, unbound):
+        args = list(_exact_args(3, 2, True))
+        for mask in (2**63, -2**63 - 1):
+            args[2] = list(args[2][:-1]) + [mask]
+            with pytest.raises(ValueError, match="exact_search masks must fit int64"):
+                unbound.exact_search(*args)
+
+    def test_exact_search_rejects_floor_outside_int64(self, unbound, gcc_kernels):
+        # ctypes wrapped a floor of 2**63 at (3, 2): the compiled kernel
+        # returned a labeling of value 4, the pure one the floor itself
+        from sperner.search import _kernels_py
+
+        args = list(_exact_args(3, 2, True))
+        for floor in (2**63, -2**63 - 1):
+            args[4] = floor
+            with pytest.raises(ValueError, match="exact_search floor_value must fit int64"):
+                unbound.exact_search(*args)
+        for floor in (2**63 - 1, -2**63):  # the ends of int64 cross as they are
+            args[4] = floor
+            assert gcc_kernels.exact_search(*args) == _kernels_py.exact_search(*args)
+
+    def test_float_inputs_raise_type_error(self, unbound):
+        for args in (([1.0], [1], [1], [1], 3), ([1], [1.0], [1], [1], 3),
+                     ([1], [1], [1.0], [1], 3), ([1], [1], [1], [1.0], 3)):
+            with pytest.raises(TypeError):
+                unbound.comp_scan(*args)
+        exact = list(_exact_args(3, 2, True))
+        for i in (2, 3):
+            args = list(exact)
+            args[i] = [float(v) for v in exact[i]]
+            with pytest.raises(TypeError):
+                unbound.exact_search(*args)
+
+    def test_sequences_of_ints_give_the_list_results(self, gcc_kernels):
+        # tuples, typed arrays of either signedness and bytes read as ints
+        from array import array
+
+        def forms(values):
+            return (tuple(values), array("Q", values), array("q", values),
+                    array("l", values), bytes(values) if max(values) < 256 else values)
+
+        comp = _comp_args(3)
+        want = gcc_kernels.comp_scan(*comp)
+        for i in range(4):
+            for form in forms(comp[i]):
+                args = list(comp)
+                args[i] = form
+                assert gcc_kernels.comp_scan(*args) == want, (i, type(form))
+        exact = _exact_args(4, 3, True)
+        want = gcc_kernels.exact_search(*exact)
+        for i in (2, 3):
+            for form in forms(exact[i]):
+                args = list(exact)
+                args[i] = form
+                assert gcc_kernels.exact_search(*args) == want, (i, type(form))
+
     def test_upset_orbits_rejects_ground_outside_table(self, gcc_library):
         from sperner.search._clib import Library
 
