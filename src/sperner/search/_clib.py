@@ -12,7 +12,7 @@ C has no bounds checks, so every argument that sizes a buffer or indexes
 one is checked here first; a bad one raises ValueError before the call.
 Lists cross as typed arrays that C reads in place and that check their
 values; no list value or exact floor wraps.  Counts, budgets and targets
-are clamped to _INT64_MAX, since ctypes would wrap them; annealer values
+are clamped into int64, since ctypes would wrap them; annealer values
 cross as _VALUE_LIMBS 32-bit limbs, wide enough for every product of its counts.
 Deadlines are passed as seconds left, so the library can measure them on
 its own monotonic clock.
@@ -74,8 +74,8 @@ def _words(values, message: str, bits: int | None = None):
 
 
 def _int64(value: int) -> int:
-    """A count, budget or target clamped to _INT64_MAX, which no search reaches."""
-    return min(value, _INT64_MAX)
+    """A count, budget or target clamped into int64, whose ends no search reaches."""
+    return max(-_INT64_MAX - 1, min(value, _INT64_MAX))
 
 
 def _time_left(deadline) -> tuple[int, float]:

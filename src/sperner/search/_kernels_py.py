@@ -409,15 +409,19 @@ class _AnnealState:
 def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
                  restart_interval, stop_value, deadline):
     """One annealing chain: perturb (remove / move / recolor a component /
-    add), greedily refill to a maximal labeling, and Metropolis-accept on
-    the measure with geometric cooling.  Restarts cycle through the given
-    construction variants.  Fully determined by the seed (wall-clock
-    deadline aside).  best_labels is a labeling, 2**n bytes where byte m
-    is the family of mask m, and variants is one bytes buffer of whole
-    labelings, the restart pool.  The chain places the proper masks of its
-    ground, 1..2**n - 2: with k >= 2 families a cross-Sperner tuple holds
-    neither the empty set nor the whole ground, as both are comparable to
-    every set.  So it needs n >= 2.
+    add / ruin / dig a hole), greedily refill to a maximal labeling, and
+    Metropolis-accept on the measure with geometric cooling.  Every step
+    starts from a fill's maximal labeling (a rejected move restores the one
+    it began from), whose unlabeled usable masks are each near two
+    families, so the add move places nothing and only draws its mask.
+    Restarts cycle through the given construction variants.  Fully
+    determined by the seed (wall-clock deadline aside); a start that meets
+    stop_value takes no step.  best_labels is a labeling, 2**n bytes where
+    byte m is the family of mask m, and variants is one bytes buffer of
+    whole labelings, the restart pool.  The chain places the proper masks
+    of its ground, 1..2**n - 2: with k >= 2 families a cross-Sperner tuple
+    holds neither the empty set nor the whole ground, as both are
+    comparable to every set.  So it needs n >= 2.
 
     Returns (best_value, best_labels, steps_done, final_state), where
     final_state is the generator state after the chain's last draw, so a
@@ -461,6 +465,8 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
     cur = st.value(product)
     best = cur
     best_labels = bytes(st.labels)
+    if stop_value and best >= stop_value:
+        return best, best_labels, 0, state
     temp = t0
     last_improve = 0
     done = 0
@@ -507,19 +513,9 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
                         st.remove(x)
                         st.add(x, jj)
                     moved = True
-        elif r < 0.70:  # add
-            spare = usable_bits & ~st.support
-            cnt = spare.bit_count()
-            if cnt:
-                state, idx = _rand_below(state, cnt)
-                m = bit_positions(spare)[idx]
-                st.refresh()
-                j = st.owner(m)
-                if j >= 0:
-                    # one draw over the families allowed to take m
-                    state, pick = _rand_below(state, 1 if j else k)
-                    st.add(m, j or pick + 1)
-                    moved = True
+        elif r < 0.70:  # add: only the draw of an unlabeled mask
+            if usable_bits & ~st.support:
+                state, _ = sm64_next(state)
         elif r < 0.85:  # ruin a random chunk of the support and rebuild
             state, z = _rand_unit(state)
             p_ruin = 0.1 + 0.3 * z

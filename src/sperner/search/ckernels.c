@@ -9,19 +9,23 @@
  * annealers skip work whose result is already known, by two rules.  A
  * removal only marks its family stale, and one refresh recloses each
  * stale family where the comparable sets are read: at the top of a fill
- * and before the placement rule in the move and add moves; a recolor
+ * and before the placement rule of the move to another family; a recolor
  * grows its component by whole closures and marks the receiving family
  * stale before its adds.  A fill walks only the open masks, those near at
  * most one family, since a mask near two stays unplaceable while the fill
- * only adds.  The annealer places the proper masks of its ground,
- * 1..2**n - 2, since a cross-Sperner tuple of k >= 2 families holds
- * neither the empty set nor the whole ground.  It packs each family bitset
- * into max(1, 2**n / 64) 64-bit words, so it serves every ground up to the
- * package-wide MAX_GROUND.  A chain allocates 4(k + 1) + 8 such bitsets,
- * a shuffle order of 2**n - 2 ints and two labelings of 2**n bytes, 9.4 MB
- * at n = 20 for k = 3.  Its values are exact unsigned integers in
- * VALUE_LIMBS 32-bit limbs, wide enough for every product of up to
- * ANNEAL_MAX_K counts, so it takes both measures at every (n, k).
+ * only adds.  Every step starts from a fill's maximal labeling (a
+ * rejected move restores the one it began from), whose unlabeled masks
+ * are all near two families, so the add move places nothing: it only
+ * makes the draw that would pick its mask.  The annealer places the
+ * proper masks of its ground, 1..2**n - 2, since a cross-Sperner tuple of
+ * k >= 2 families holds neither the empty set nor the whole ground.  It
+ * packs each family bitset into max(1, 2**n / 64) 64-bit words, so it
+ * serves every ground up to the package-wide MAX_GROUND.  A chain
+ * allocates 4(k + 1) + 8 such bitsets, a shuffle order of 2**n - 2 ints
+ * and two labelings of 2**n bytes, 9.4 MB at n = 20 for k = 3.  Its
+ * values are exact unsigned integers in VALUE_LIMBS 32-bit limbs, wide
+ * enough for every product of up to ANNEAL_MAX_K counts, so it takes both
+ * measures at every (n, k).
  *
  * The exact DFS keeps each depth's pin row, the labels that earlier
  * choices force on later masks, as 64-bit words: one of free masks, one
@@ -665,7 +669,7 @@ typedef struct {
     uint64_t *down; /* comparable_to */
     uint64_t *closed; /* component */
     uint64_t *comp; /* component */
-    uint64_t *pick; /* the add and dig-hole moves */
+    uint64_t *pick; /* the dig-hole move */
     uint64_t *open; /* fill */
 } Ann;
 
@@ -1004,7 +1008,8 @@ static inline int support_member(const Ann *a, uint64_t *state)
     return nth_member(a->cur.support, rand_below(state, a->cur.support_count));
 }
 
-/* stop, if not 0, ends the chain once best reaches it */
+/* stop, if not 0, ends the chain once best reaches it, before the first
+ * step if the start does */
 static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
                                      uint64_t *state, int64_t steps, double t0,
                                      double alpha, int64_t restart_interval,
@@ -1014,12 +1019,14 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
     Value values[2], *cur = values, *nv = values + 1, *swap;
     int64_t step, done = 0, last_improve = 0;
     double temp = t0, r, u, p_ruin, p;
-    int variant_idx = 0, m, j, jj, w, own, cnt, moved, accept;
+    int variant_idx = 0, m, j, jj, w, own, moved, accept;
     ann_load(a, variants);
     fill(a, state);
     ann_value(a, cur);
     *best = *cur;
     memcpy(best_labels, a->cur.labels, a->total);
+    if (stop->limb[stop->len - 1] && value_cmp(best, stop) >= 0)
+        return 0;
     for (step = 0; step < steps; step++) {
         if (deadline && mono() > deadline)
             break;
@@ -1068,21 +1075,12 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
                     moved = 1;
                 }
             }
-        } else if (r < 0.70) { /* add */
+        } else if (r < 0.70) { /* add: only the draw of an unlabeled mask */
             for (w = 0; w < a->words; w++)
-                a->pick[w] = a->usable_bits[w] & ~a->cur.support[w];
-            cnt = count_bits(a->pick, a->words);
-            if (cnt) {
-                m = nth_member(a->pick, rand_below(state, cnt));
-                refresh(a);
-                own = owner(a, m);
-                if (own >= 0) {
-                    /* one draw over the families allowed to take m */
-                    jj = (int)rand_below(state, own ? 1 : a->k) + 1;
-                    ann_add(a, m, own ? own : jj);
-                    moved = 1;
+                if (a->usable_bits[w] & ~a->cur.support[w]) {
+                    sm64(state);
+                    break;
                 }
-            }
         } else if (r < 0.85) { /* ruin a random chunk of the support and rebuild */
             p_ruin = 0.1 + 0.3 * rand_unit(state);
             /* a removal clears only the bit just visited, so walking the

@@ -318,15 +318,13 @@ def _exact(cfg: SearchConfig, product: bool) -> SearchResult:
         cfg.k, product, masks, fwd, floor,
         cfg.target or 0, cfg.budget_nodes or 0, deadline,
     )
+    # both kernels move best off the floor only with a labeling
+    witness = floor_tuple
     if labels is not None:
         full = bytearray(1 << cfg.n)
         for m, lab in zip(masks, labels):
             full[m] = lab
         witness = _tuple_of(cfg.n, cfg.k, full)
-    elif value == floor:
-        witness = floor_tuple
-    else:
-        witness = None
     if witness is not None:
         _check_witness(witness, value, product)
     return SearchResult(value=value, witness=witness, optimal=completed,
@@ -354,21 +352,19 @@ def _variants(n: int, k: int, product: bool, seed: int) -> bytes:
     constructions at (n, k) and of up to eight jittered product tuples, in
     that order, joined into one buffer of 2**n bytes a labeling."""
     cands = _constructions(n, k, product)
-    try:
-        blocks = ProductParams(n, k).block_sizes()
-    except SpernerError:
-        blocks = None  # no product tuple here, so nothing to jitter
-    if blocks is not None:
-        # jittered segment sizes diversify the restart pool
-        state = (seed ^ 0x5EED5EED) & ((1 << 64) - 1)
-        for _ in range(8):
-            segs = []
-            for b in blocks:
-                state, z = sm64_next(state)
-                segs.append(1 + (z * ((1 << b) - 1) >> 64))
-            cands += _built(
-                lambda segs=tuple(segs): build_product_tuple(ProductParams(n, k, segs))
-            )
+    # jittered segment sizes diversify the restart pool; _check_config has
+    # accepted (n, k), so the blocks exist, and _built drops every jittered
+    # tuple that cannot be built
+    blocks = ProductParams(n, k).block_sizes()
+    state = (seed ^ 0x5EED5EED) & ((1 << 64) - 1)
+    for _ in range(8):
+        segs = []
+        for b in blocks:
+            state, z = sm64_next(state)
+            segs.append(1 + (z * ((1 << b) - 1) >> 64))
+        cands += _built(
+            lambda segs=tuple(segs): build_product_tuple(ProductParams(n, k, segs))
+        )
     pool = b"".join(dict.fromkeys(_labels_of(t) for t in cands))
     if not pool:
         raise InfeasibleParams(

@@ -458,6 +458,33 @@ def test_search_exact_proves_and_writes(tmp_path, capsys):
     assert payload["measures"]["product"] == 9
 
 
+def test_search_provenance_records_the_budgets(tmp_path):
+    # a heuristic search records its budgets and chain count beside the
+    # seed and mode; an exact search without budgets records none of them
+    out = tmp_path / "h.json"
+    assert run("search", "pi", "--n", "4", "--k", "3", "--mode", "heuristic",
+               "--seed", "3", "--threads", "2", "--budget-nodes", "50",
+               "--budget-secs", "5", "--out", str(out)) == 0
+    payload = load_witness(str(out))
+    assert payload["provenance"]["seed"] == 3
+    search = payload["provenance"]["search"]
+    assert search["mode"] == "heuristic"
+    assert (search["budget_nodes"], search["budget_secs"], search["threads"]) == (50, 5.0, 2)
+    out = tmp_path / "e.json"
+    assert run("search", "pi", "--n", "4", "--k", "3", "--out", str(out)) == 0
+    search = load_witness(str(out))["provenance"]["search"]
+    assert search["mode"] == "exact"
+    assert not {"budget_nodes", "budget_secs", "threads"} & set(search)
+
+
+def test_search_heuristic_start_meeting_target_takes_no_step(capsys):
+    # each chain's start already has 64 = pi(5, 2), so no chain steps
+    assert run("search", "pi", "--n", "5", "--k", "2", "--mode", "heuristic",
+               "--seed", "1", "--target", "64") == 0
+    text = capsys.readouterr().out
+    assert "value=64 status=target-met nodes=0 " in text
+
+
 def test_search_out_dash_prints_witness_after_status(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("search", "sigma", "--n", "3", "--k", "2", "--out", "-") == 0

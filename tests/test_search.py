@@ -886,6 +886,30 @@ class TestBackendParity:
             args = _anneal_args(n, k, product, seed, steps, restart)
             assert self.pure.anneal_chain(*args) == self.fast.anneal_chain(*args)
 
+    def test_anneal_start_meeting_target_takes_no_step(self):
+        # a chain whose first fill already meets its target returns before
+        # its first step; one just above the start still anneals
+        for n, k, product in [(5, 2, True), (5, 2, False), (7, 3, True)]:
+            args = list(_anneal_args(n, k, product, 1, 500))
+            args[5] = 0
+            start = self.pure.anneal_chain(*args)[0]
+            args[5] = 500
+            for stop, stepped in [(start, False), (start - 1, False), (start + 1, True)]:
+                args[9] = stop
+                out = self.pure.anneal_chain(*args)
+                assert self.fast.anneal_chain(*args) == out
+                assert (out[2] > 0) == stepped, (n, k, product, stop)
+
+    def test_exact_search_past_deadline_stops_at_first_check(self):
+        # a deadline already past stops both DFS kernels at their first
+        # clock check, node 4096, with the same best so far
+        for n, k, product in [(5, 3, True), (5, 2, False)]:
+            args = list(_exact_args(n, k, product))
+            args[7] = time.monotonic() - 1.0
+            out = self.pure.exact_search(*args)
+            assert out[2:] == (4096, False)
+            assert self.fast.exact_search(*args) == out
+
     def test_ruin_step_at_twenty(self, monkeypatch):
         # the first step of this chain ruins its n = 20 support, removing
         # a tenth to two fifths of its members: it closes each stripped
@@ -1203,6 +1227,37 @@ def test_placement_rule_matches_comparability(n, k):
     assert seen == {-1, 0, 1}  # unowned, owned and contested masks all occur
 
 
+@pytest.mark.parametrize("n,k,product,restart", [
+    (2, 2, True, 5), (5, 3, True, 20), (7, 5, True, 15),
+    (5, 2, False, 20), (8, 4, False, 10),
+])
+def test_every_step_starts_maximal(monkeypatch, n, k, product, restart):
+    # the add move only draws: at the start of every step no family is
+    # stale, each near is its family's closure, and every unlabeled
+    # usable mask is near two or more families, so none can be placed
+    from sperner.search import _kernels_py
+    from sperner.search._kernels_py import _AnnealState
+
+    snapshot = _AnnealState.snapshot
+    checked = 0
+
+    def checked_snapshot(st):
+        nonlocal checked
+        assert not st.stale
+        for j in range(1, k + 1):
+            assert st.near[j] == _comparable_bits(st.fams[j], n)
+        for m in range(1, (1 << n) - 1):
+            if not st.labels[m]:
+                assert st.owner(m) == -1, m
+        checked += 1
+        return snapshot(st)
+
+    monkeypatch.setattr(_AnnealState, "snapshot", checked_snapshot)
+    steps = 1000 if n < 7 else 350
+    _kernels_py.anneal_chain(*_anneal_args(n, k, product, 1, steps, restart))
+    assert checked == steps
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 4)])
 def test_refresh_recloses_stale_families(n, k):
     # a removal only marks its family stale; after refresh() each near is
@@ -1318,6 +1373,26 @@ class TestCompiledGuards:
         args = list(_exact_args(4, 3, True))
         args[5] = 2**64 + 5
         assert gcc_kernels.exact_search(*args) == _kernels_py.exact_search(*args)
+
+    def test_int64_arguments_are_clamped_from_below(self, gcc_kernels):
+        # ctypes would wrap -2**64 to 0, which means no target, no node
+        # budget; the pure DFS stops at node 1 on either
+        from sperner.search import _kernels_py
+
+        for i in (5, 6):  # target, node budget
+            args = list(_exact_args(4, 3, True))
+            args[i] = -2**64
+            out = _kernels_py.exact_search(*args)
+            assert out == (9, None, 1, False)
+            assert gcc_kernels.exact_search(*args) == out
+        # a restart interval of -2**64 restarts after every step, and a
+        # step count of -2**64 takes none
+        for i, value, done in [(8, -2**64, 50), (5, -2**64, 0)]:
+            args = list(_anneal_args(4, 3, True, 1, 50))
+            args[i] = value
+            out = _kernels_py.anneal_chain(*args)
+            assert out[2] == done
+            assert gcc_kernels.anneal_chain(*args) == out
 
     def test_anneal_rejects_negative_stop_value(self, gcc_kernels):
         # the stop value crosses as unsigned limbs
