@@ -200,19 +200,16 @@ def build_product_tuple(p: ProductParams) -> FamilyTuple:
 
 
 def _auto_a(n: int, k: int) -> int:
-    """SumParams' default a: the one with the parity of n in the window."""
+    """SumParams' default a: the one with the parity of n in the window
+    -1 < a - a* <= 1, a* = log2(num/den).  As a* > 1 for k >= 2, the walk
+    from a = 0 or 1 in steps of 2 starts below the window's top, so the
+    first a above its bottom is in it."""
     num = k << (k - 1)
     den = (1 << (k - 1)) - 1
     a = n & 1
-    while True:
-        # -1 < a - a* <= 1 with a* = log2(num/den), squared out to ints
-        if (den << a) <= 2 * num and num < (den << (a + 1)):
-            return a
-        if (den << a) > 2 * num:  # walked past the window
-            raise InfeasibleParams(
-                f"no a with the parity of n={n} fits the window for k={k}"
-            )
+    while num >= den << (a + 1):  # a <= a* - 1, squared out to ints
         a += 2
+    return a
 
 
 class SumParams(_Record):

@@ -320,8 +320,9 @@ class _AnnealState:
         self.near[j] = _comparable_bits(self.fams[j], self.n)
 
     def refresh(self):
-        """Reclose each stale family; runs wherever near is read, so every
-        read sees near as a function of fams alone."""
+        """Reclose each stale family; runs only at the top of a fill, the
+        one reader of near, so the fill sees near as a function of fams
+        alone."""
         for j in self.stale:
             self._reclose(j)
         self.stale.clear()
@@ -414,9 +415,13 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
     starts from a fill's maximal labeling (a rejected move restores the one
     it began from), whose unlabeled usable masks are each near two
     families, so the add move places nothing and only draws its mask.
-    Restarts cycle through the given construction variants.  Fully
-    determined by the seed (wall-clock deadline aside); a start that meets
-    stop_value takes no step.  best_labels is a labeling, 2**n bytes where
+    The pool's labelings must be cross-Sperner, so each start is too and
+    its support is not empty: the remove, move and recolor moves draw their
+    member once, and as a member is near no family but its own, the move
+    to another family tests it before it acts.  Restarts cycle through the
+    given construction variants.  Fully determined by the seed (wall-clock
+    deadline aside); a start that meets stop_value takes no step.
+    best_labels is a labeling, 2**n bytes where
     byte m is the family of mask m, and variants is one bytes buffer of
     whole labelings, the restart pool.  The chain places the proper masks
     of its ground, 1..2**n - 2: with k >= 2 families a cross-Sperner tuple
@@ -477,33 +482,24 @@ def anneal_chain(n, k, product, variants, seed, steps, t0, alpha,
         state, r = _rand_unit(state)
         snap = st.snapshot()
         moved = False
-        if r < 0.20:  # remove
-            if st.support_count:
-                state, idx = _rand_below(state, st.support_count)
-                m = bit_positions(st.support)[idx]
-                if st.counts[st.labels[m]] > 1:
+        if r < 0.55:  # remove, move or recolor one member of the support
+            state, idx = _rand_below(state, st.support_count)
+            m = bit_positions(st.support)[idx]
+            j = st.labels[m]
+            if r < 0.20:  # remove
+                if st.counts[j] > 1:
                     st.remove(m)
                     moved = True
-        elif r < 0.40:  # move to another family
-            if st.support_count:
-                state, idx = _rand_below(state, st.support_count)
-                m = bit_positions(st.support)[idx]
-                j = st.labels[m]
+            elif r < 0.40:  # move to another family
                 if st.counts[j] > 1:
                     state, pick = _rand_below(state, k - 1)
                     jj = pick + 1 + (1 if pick + 1 >= j else 0)
-                    st.remove(m)
-                    st.refresh()
-                    if st.owner(m) in (0, jj):
+                    # m may go when no other member of j is comparable to it
+                    if st.one(m) & st.fams[j] == 1 << m:
+                        st.remove(m)
                         st.add(m, jj)
                         moved = True
-                    else:
-                        st.restore(snap)
-        elif r < 0.55:  # recolor a whole component
-            if st.support_count:
-                state, idx = _rand_below(state, st.support_count)
-                m = bit_positions(st.support)[idx]
-                j = st.labels[m]
+            else:  # recolor a whole component
                 comp = bit_positions(st.component(m))
                 if len(comp) < st.counts[j]:
                     state, pick = _rand_below(state, k - 1)

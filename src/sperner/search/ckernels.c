@@ -7,25 +7,27 @@
  * either backend; the tests rely on it.  Both DFS kernels check their
  * deadline every 4096 nodes, both annealers before every step.  Both
  * annealers skip work whose result is already known, by two rules.  A
- * removal only marks its family stale, and one refresh recloses each
- * stale family where the comparable sets are read: at the top of a fill
- * and before the placement rule of the move to another family; a recolor
- * grows its component by whole closures and marks the receiving family
- * stale before its adds.  A fill walks only the open masks, those near at
- * most one family, since a mask near two stays unplaceable while the fill
- * only adds.  Every step starts from a fill's maximal labeling (a
- * rejected move restores the one it began from), whose unlabeled masks
- * are all near two families, so the add move places nothing: it only
- * makes the draw that would pick its mask.  The annealer places the
- * proper masks of its ground, 1..2**n - 2, since a cross-Sperner tuple of
- * k >= 2 families holds neither the empty set nor the whole ground.  It
- * packs each family bitset into max(1, 2**n / 64) 64-bit words, so it
- * serves every ground up to the package-wide MAX_GROUND.  A chain
- * allocates 4(k + 1) + 8 such bitsets, a shuffle order of 2**n - 2 ints
- * and two labelings of 2**n bytes, 9.4 MB at n = 20 for k = 3.  Its
- * values are exact unsigned integers in VALUE_LIMBS 32-bit limbs, wide
- * enough for every product of up to ANNEAL_MAX_K counts, so it takes both
- * measures at every (n, k).
+ * removal only marks its family stale, and one refresh at the top of a
+ * fill, the only reader of the comparable sets, recloses each stale
+ * family; a recolor grows its component by whole closures and marks the
+ * receiving family stale before its adds.  A fill walks only the open
+ * masks, those near at most one family, since a mask near two stays
+ * unplaceable while the fill only adds.  Every step starts from a fill's
+ * maximal labeling (a rejected move restores the one it began from),
+ * whose unlabeled masks are all near two families, so the add move only
+ * makes the draw that would pick its mask.  The pool's labelings must be
+ * cross-Sperner, so each start is too and its support is not empty: the
+ * remove, move and recolor moves draw their member once, and as it is
+ * near no family but its own, the move to another family tests it before
+ * it acts.  The annealer places the proper masks of its ground,
+ * 1..2**n - 2, since a cross-Sperner tuple of k >= 2 families holds
+ * neither the empty set nor the whole ground.  It packs each family
+ * bitset into max(1, 2**n / 64) 64-bit words, so it serves every ground
+ * up to the package-wide MAX_GROUND.  A chain allocates 4(k + 1) + 8
+ * such bitsets, a shuffle order of 2**n - 2 ints and two labelings of
+ * 2**n bytes, 9.4 MB at n = 20 for k = 3.  Its values are exact unsigned
+ * integers in VALUE_LIMBS 32-bit limbs, wide enough for every product of
+ * up to ANNEAL_MAX_K counts, so it takes both measures at every (n, k).
  *
  * The exact DFS keeps each depth's pin row, the labels that earlier
  * choices force on later masks, as 64-bit words: one of free masks, one
@@ -72,6 +74,13 @@
 /* counts stay below 2**MAX_GROUND, so a product of ANNEAL_MAX_K of them
  * stays below 2**5100: 160 limbs of 32 bits */
 #define VALUE_LIMBS 160
+
+/* a rare call that, inlined, slowed GCC's code for the annealer's loop */
+#ifdef __GNUC__
+#define NOINLINE __attribute__((noinline))
+#else
+#define NOINLINE
+#endif
 
 /* target_clones needs GCC 6 and the loader's indirect functions */
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 6 \
@@ -669,7 +678,7 @@ typedef struct {
     uint64_t *down; /* comparable_to */
     uint64_t *closed; /* component */
     uint64_t *comp; /* component */
-    uint64_t *pick; /* the dig-hole move */
+    uint64_t *pick; /* the move to another family and the dig-hole move */
     uint64_t *open; /* fill */
 } Ann;
 
@@ -741,8 +750,8 @@ static void reclose(Ann *a, int j)
     comparable_to(a, fam_of(&a->cur, a, j), near_of(&a->cur, a, j));
 }
 
-/* recloses each stale family; runs wherever near is read, so every read
- * sees near as a function of fams alone */
+/* recloses each stale family; runs only at the top of a fill, the one
+ * reader of near, so the fill sees near as a function of fams alone */
 static void refresh(Ann *a)
 {
     int j;
@@ -787,7 +796,7 @@ static void copy_state(AnnState *dst, const AnnState *src, const Ann *a)
 }
 
 /* back to the snapshot, taken between steps when no family is stale */
-static void ann_restore(Ann *a)
+static NOINLINE void ann_restore(Ann *a)
 {
     copy_state(&a->cur, &a->snap, a);
     memset(a->stale, 0, a->k + 1);
@@ -1001,13 +1010,6 @@ static int other_family(const Ann *a, uint64_t *state, int j)
     return pick + (pick >= j ? 1 : 0);
 }
 
-/* a uniformly drawn member of the support, which must not be empty;
- * inline, so that the annealer's POPCNT clone takes it in */
-static inline int support_member(const Ann *a, uint64_t *state)
-{
-    return nth_member(a->cur.support, rand_below(state, a->cur.support_count));
-}
-
 /* stop, if not 0, ends the chain once best reaches it, before the first
  * step if the start does */
 static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
@@ -1019,7 +1021,8 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
     Value values[2], *cur = values, *nv = values + 1, *swap;
     int64_t step, done = 0, last_improve = 0;
     double temp = t0, r, u, p_ruin, p;
-    int variant_idx = 0, m, j, jj, w, own, moved, accept;
+    int variant_idx = 0, m, j, jj, w, moved, accept;
+    const uint64_t *fam;
     ann_load(a, variants);
     fill(a, state);
     ann_value(a, cur);
@@ -1034,35 +1037,31 @@ static POPCNT_CLONES int64_t ann_run(Ann *a, const uint8_t *variants, int n_var,
         r = rand_unit(state);
         copy_state(&a->snap, &a->cur, a);
         moved = 0;
-        if (r < 0.20) { /* remove */
-            if (a->cur.support_count) {
-                m = support_member(a, state);
-                if (a->cur.counts[a->cur.labels[m]] > 1) {
+        if (r < 0.55) { /* remove, move or recolor one member of the support */
+            m = nth_member(a->cur.support, rand_below(state, a->cur.support_count));
+            j = a->cur.labels[m];
+            if (r < 0.20) { /* remove */
+                if (a->cur.counts[j] > 1) {
                     ann_remove(a, m);
                     moved = 1;
                 }
-            }
-        } else if (r < 0.40) { /* move to another family */
-            if (a->cur.support_count) {
-                m = support_member(a, state);
-                j = a->cur.labels[m];
+            } else if (r < 0.40) { /* move to another family */
                 if (a->cur.counts[j] > 1) {
                     jj = other_family(a, state, j);
-                    ann_remove(a, m);
-                    refresh(a);
-                    own = owner(a, m);
-                    if (own == 0 || own == jj) {
+                    /* m may go when no other member of j is comparable to it */
+                    memset(a->pick, 0, a->words * sizeof(uint64_t));
+                    or_one(a, m, a->pick);
+                    clear_bit(a->pick, m);
+                    fam = fam_of(&a->cur, a, j);
+                    for (w = 0; w < a->words && !(a->pick[w] & fam[w]); w++)
+                        ;
+                    if (w == a->words) {
+                        ann_remove(a, m);
                         ann_add(a, m, jj);
                         moved = 1;
-                    } else {
-                        ann_restore(a);
                     }
                 }
-            }
-        } else if (r < 0.55) { /* recolor a whole component */
-            if (a->cur.support_count) {
-                m = support_member(a, state);
-                j = a->cur.labels[m];
+            } else { /* recolor a whole component */
                 component(a, m);
                 if (count_bits(a->comp, a->words) < a->cur.counts[j]) {
                     jj = other_family(a, state, j);

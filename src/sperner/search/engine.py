@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from array import array
-from math import ceil
+from math import ceil, prod
 from typing import NamedTuple
 
 from ..bounds import BoundId, eval_bound
@@ -421,13 +421,25 @@ def _anneal(cfg: SearchConfig, product: bool) -> SearchResult:
         )
 
     outs = _run_chains(run, seeds)
-    # best value, then least canonical key, then seed order; a key is
-    # made only when chains tie, once for each of them
     best_val = max(out[0] for out in outs)
-    ties = [_tuple_of(cfg.n, cfg.k, labels)
-            for value, labels, _, _ in outs if value == best_val]
-    best_tuple = (ties[0] if len(ties) == 1
-                  else min(ties, key=FamilyTuple.canonical_key))
+    # every chain starts from the pool's first labeling, so a later one
+    # may beat them all; the first best labeling of the pool is reported then
+    size = 1 << cfg.n
+    starts = []
+    for i in range(0, len(variants), size):
+        counts = [variants.count(j, i, i + size) for j in range(1, cfg.k + 1)]
+        starts.append(prod(counts) if product else sum(counts))
+    if max(starts) > best_val:
+        best_val = max(starts)
+        i = starts.index(best_val) * size
+        best_tuple = _tuple_of(cfg.n, cfg.k, variants[i:i + size])
+    else:
+        # best value, then least canonical key, then seed order; a key is
+        # made only when chains tie, once for each of them
+        ties = [_tuple_of(cfg.n, cfg.k, labels)
+                for value, labels, _, _ in outs if value == best_val]
+        best_tuple = (ties[0] if len(ties) == 1
+                      else min(ties, key=FamilyTuple.canonical_key))
     steps_done = sum(out[2] for out in outs)
     _check_witness(best_tuple, best_val, product)
     return SearchResult(value=best_val, witness=best_tuple, optimal=False,

@@ -79,6 +79,8 @@ def test_min_ground_for_antichain():
         ell = min_ground_for_antichain(k)
         assert comb(ell, ell // 2) >= k
         assert ell == 1 or comb(ell - 1, (ell - 1) // 2) < k
+    with pytest.raises(BadGround, match="need k >= 1, got 0"):
+        min_ground_for_antichain(0)
 
 
 def test_eval_bound_rejects_junk():
@@ -86,6 +88,7 @@ def test_eval_bound_rejects_junk():
         eval_bound("pair-root-sum", 4, 2)
     with pytest.raises(BadGround):
         eval_bound(BoundId.PRODUCT_UPPER, 99, 2)
+    assert eval_bound(BoundId.SUM_UPPER, 6, 1) == (0, False, "needs k >= 2 (got k = 1)")
 
 
 # pair bounds

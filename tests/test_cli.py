@@ -45,6 +45,9 @@ def test_construct_writes_and_verifies(tmp_path, capsys):
     payload = load_witness(str(out))
     assert payload["provenance"]["parameters"]["a"] >= 0
     assert run("verify", str(out)) == 0
+    missing = tmp_path / "missing" / "w.json"
+    assert run("construct", "sum", "--n", "6", "--k", "3", "--out", str(missing)) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
 
 def test_construct_all_modes(tmp_path):
@@ -571,6 +574,12 @@ def test_search_rejects_zero_threads(capsys, monkeypatch, mode, threads, message
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_search_rejects_width_below_two(capsys, mode):
+    assert run("search", "pi", "--n", "4", "--k", "1", "--mode", mode) == 2
+    assert capsys.readouterr().err == "error: searches need k >= 2\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
 def test_search_zero_seconds_is_a_valid_budget(capsys, mode):
     # exact (4, 2) finishes before its first deadline check, at node 4096
     assert run("search", "pi", "--n", "4", "--k", "2", "--mode", mode,
@@ -748,6 +757,10 @@ def test_bounds_m_and_ell_overrides(capsys):
     anti = next(l for l in text.splitlines() if "antichain-comp" in l)
     assert "[n/a]" not in comp
     assert "70" in anti
+    # the tagged antichain's k - 1 singletons do not fit beside a tail of 3
+    assert run("bounds", "--n", "5", "--k", "5", "--ell", "3") == 0
+    anti = next(l for l in capsys.readouterr().out.splitlines() if "antichain-comp" in l)
+    assert anti.endswith("[n/a] tagged antichain needs k - 1 <= n - ell free elements")
 
 
 @pytest.mark.parametrize("argv", [

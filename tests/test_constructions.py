@@ -4,6 +4,7 @@ from sperner.constructions import (
     PrefixParams,
     ProductParams,
     SumParams,
+    _auto_a,
     _pattern,
     _pattern_sizes,
     build_pair_product,
@@ -320,6 +321,17 @@ def test_sum_auto_a_has_ground_parity():
                 continue
             assert (n - p.a) % 2 == 0
             assert p.a >= 0
+
+
+def test_sum_auto_a_is_in_the_window():
+    # -1 < a - a* <= 1 with a* = log2(num/den) > 1, squared out to ints:
+    # the walk from a = 0 or 1 never steps past the window
+    for k in range(2, 65):
+        num, den = k << (k - 1), (1 << (k - 1)) - 1
+        for n in (2 * k, 2 * k + 1):
+            a = _auto_a(n, k)
+            assert (n - a) % 2 == 0
+            assert num < den << (a + 1) and den << a <= 2 * num, (n, k, a)
 
 
 def test_sum_explicit_a_validated():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sperner.errors import BadGround, EmptyFamily, NotMonotone
+from sperner.errors import BadGround, BadIndex, BadSegmentSize, EmptyFamily, NotMonotone
 from sperner.lattice import (
     MAX_GROUND,
     _label_bits,
@@ -196,8 +196,10 @@ def test_closures_are_idempotent_and_monotone():
 
 
 def test_empty_family_closure_raises():
-    with pytest.raises(EmptyFamily):
-        closure(Family(3, 0), "up")
+    for op in (lambda f: closure(f, "up"), comparability_number,
+               incomparable_complement, convex_hull):
+        with pytest.raises(EmptyFamily):
+            op(Family(3, 0))
 
 
 # comparability
@@ -238,6 +240,7 @@ def test_convex_hull_examples():
         frozenset({1, 3}),
         frozenset({1, 2, 3}),
     }
+    assert 0b011 in hull and 0b010 not in hull
 
 
 def test_convex_hull_is_idempotent_and_contains():
@@ -350,6 +353,11 @@ def test_colex_segment_is_downset_on_its_ground():
 def test_colex_segment_scattered_ground():
     seg = colex_initial_segment(5, (2, 5), 3)
     assert sets_of_family(seg) == {frozenset(), frozenset({2}), frozenset({5})}
+    for elems, t, error in [((5, 2), 1, BadGround), ((2, 2), 1, BadGround),
+                            ((0, 2), 1, BadGround), ((2, 6), 1, BadGround),
+                            ((2, 5), 0, BadSegmentSize), ((2, 5), 5, BadSegmentSize)]:
+        with pytest.raises(error):
+            colex_initial_segment(5, elems, t)
 
 
 # merge
@@ -363,6 +371,9 @@ def test_merge_partition_keeps_cross_sperner():
         assert merged.k == t.k - 1
         assert is_cross_sperner(merged).ok
         assert merged.sum_size() == t.sum_size()
+    for j in (0, t.k):
+        with pytest.raises(BadIndex):
+            merge_partition(t, j)
 
 
 # correlation inequality
@@ -375,6 +386,8 @@ def test_hk_check_requires_monotone():
         hk_check(down, down)
     with pytest.raises(NotMonotone):
         hk_check(up, up)
+    with pytest.raises(BadGround):
+        hk_check(up, closure(Family(5, 1 << 5), "down"))
 
 
 def test_hk_on_random_monotone_pairs():

@@ -576,6 +576,40 @@ def test_chain_error_is_raised_after_every_thread_ends(monkeypatch, backend):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("n,k,seed,threads,steps,pool_best", [
+    (6, 6, 1, 1, 50, 4096),
+    (7, 6, 1, 1, 50, 262144),
+    # every family of this chain's start holds one set, so no step moves
+    (8, 8, 5, 2, 5000, 16777216),
+    (10, 3, 3, 2, 300, 3375000),
+])
+def test_pool_labeling_above_every_chain_is_reported(monkeypatch, backend, n, k, seed,
+                                                     threads, steps, pool_best):
+    # every chain starts from the pool's first labeling; a later one that
+    # beats them all is the result, and the chains still take every step
+    from sperner.search.engine import _variants
+
+    kern = _kernels_for(backend, monkeypatch)
+    chain = kern.anneal_chain
+    bests = []
+
+    def recorded(*args):
+        out = chain(*args)
+        bests.append(out[0])
+        return out
+
+    monkeypatch.setattr(kern, "anneal_chain", recorded)
+    res = anneal_max_product(SearchConfig(n, k, mode="heuristic", seed=seed,
+                                          threads=threads, budget_nodes=steps))
+    assert max(bests) < res.value == pool_best == res.witness.product_size()
+    assert res.nodes == threads * steps
+    pool = _variants(n, k, True, seed)
+    total = 1 << n
+    assert _labels_of(res.witness) in [pool[i:i + total]
+                                       for i in range(total, len(pool), total)]
+
+
 _INTERRUPTED = textwrap.dedent("""
     import os
     import sys
@@ -822,6 +856,45 @@ def _anneal_args(n, k, product, seed, steps, restart=None):
             _T0, _ALPHA, restart or _RESTART, 0, 0.0)
 
 
+@pytest.fixture(scope="session")
+def anneal_parity():
+    """(arguments, pure result) of each annealer parity case.
+
+    The final generator state in each result shows any extra or missing
+    draw; n = 7, 8, 10, 12, 13 and 14 take 2, 4, 16, 64, 128 and 256 words
+    a bitset, and their short restart intervals bring in restarts.  At
+    (13, 6) products pass 2**53, where the acceptance ratio needs exact
+    integer division.  At (12, 7), (14, 7) and (8, 16), where 16 families
+    of 16 allow 2**64, a product may pass 2**63; at (14, 7) the start
+    does, with 729**7.  At n = 2 masks 1 and 2 are the only proper ones.
+    At (9, 6) and (11, 4) ruin and dig-hole moves strip several families
+    in one step, so one fill recloses each of them.
+    """
+    from sperner.search import _kernels_py
+
+    cases = [_anneal_args(*case) for case in [
+        (2, 2, True, 1, 200, 20),
+        (2, 2, False, 4, 200, 20),
+        (5, 3, True, 1, 3000, None),
+        (5, 2, False, 9, 3000, None),
+        (7, 5, True, 3, 1200, 40),
+        (8, 4, False, 6, 500, 30),
+        (10, 3, True, 2, 180, 20),
+        (10, 5, False, 7, 180, 20),
+        (12, 3, True, 4, 40, 8),
+        (12, 2, False, 5, 30, 8),
+        (13, 4, False, 3, 20, 5),
+        (13, 6, True, 1, 12, 4),
+        (14, 3, True, 2, 12, 5),
+        (12, 7, True, 1, 20, 6),
+        (14, 7, True, 1, 8, 3),
+        (8, 16, True, 1, 400, 30),
+        (9, 6, True, 1, 400, 15),
+        (11, 4, False, 3, 120, 6),
+    ]]
+    return [(args, _kernels_py.anneal_chain(*args)) for args in cases]
+
+
 class TestBackendParity:
     """The compiled kernels built in place, against the pure reference."""
 
@@ -852,39 +925,9 @@ class TestBackendParity:
         for i, (args, pure) in enumerate(exact_parity):
             assert self.fast.exact_search(*args) == pure, i
 
-    def test_anneal_chain_identical(self):
-        # the final generator state in each result shows any extra or
-        # missing draw; n = 7, 8, 10, 12, 13 and 14 take 2, 4, 16, 64, 128
-        # and 256 words a bitset, and their short restart intervals bring
-        # in restarts.  At (13, 6) products pass 2**53, where the
-        # acceptance ratio needs exact integer division.  At (12, 7),
-        # (14, 7) and (8, 16), where 16 families of 16 allow 2**64, a
-        # product may pass 2**63; at (14, 7) the start does, with 729**7.
-        # At n = 2 masks 1 and 2 are the only proper ones.  At (9, 6) and
-        # (11, 4) ruin and dig-hole moves strip several families in one
-        # step, so one fill recloses each of them.
-        for n, k, product, seed, steps, restart in [
-            (2, 2, True, 1, 200, 20),
-            (2, 2, False, 4, 200, 20),
-            (5, 3, True, 1, 3000, None),
-            (5, 2, False, 9, 3000, None),
-            (7, 5, True, 3, 1200, 40),
-            (8, 4, False, 6, 500, 30),
-            (10, 3, True, 2, 180, 20),
-            (10, 5, False, 7, 180, 20),
-            (12, 3, True, 4, 40, 8),
-            (12, 2, False, 5, 30, 8),
-            (13, 4, False, 3, 20, 5),
-            (13, 6, True, 1, 12, 4),
-            (14, 3, True, 2, 12, 5),
-            (12, 7, True, 1, 20, 6),
-            (14, 7, True, 1, 8, 3),
-            (8, 16, True, 1, 400, 30),
-            (9, 6, True, 1, 400, 15),
-            (11, 4, False, 3, 120, 6),
-        ]:
-            args = _anneal_args(n, k, product, seed, steps, restart)
-            assert self.pure.anneal_chain(*args) == self.fast.anneal_chain(*args)
+    def test_anneal_chain_identical(self, anneal_parity):
+        for args, pure in anneal_parity:
+            assert self.fast.anneal_chain(*args) == pure, args[:3]
 
     def test_anneal_start_meeting_target_takes_no_step(self):
         # a chain whose first fill already meets its target returns before
@@ -1227,14 +1270,15 @@ def test_placement_rule_matches_comparability(n, k):
     assert seen == {-1, 0, 1}  # unowned, owned and contested masks all occur
 
 
-@pytest.mark.parametrize("n,k,product,restart", [
+STEP_CHAINS = [
     (2, 2, True, 5), (5, 3, True, 20), (7, 5, True, 15),
     (5, 2, False, 20), (8, 4, False, 10),
-])
-def test_every_step_starts_maximal(monkeypatch, n, k, product, restart):
-    # the add move only draws: at the start of every step no family is
-    # stale, each near is its family's closure, and every unlabeled
-    # usable mask is near two or more families, so none can be placed
+]
+
+
+def _at_every_step_start(monkeypatch, n, k, product, restart, check):
+    """Runs a pure chain that calls check(st) on its state at the start of
+    every step, when the step takes its snapshot."""
     from sperner.search import _kernels_py
     from sperner.search._kernels_py import _AnnealState
 
@@ -1243,12 +1287,7 @@ def test_every_step_starts_maximal(monkeypatch, n, k, product, restart):
 
     def checked_snapshot(st):
         nonlocal checked
-        assert not st.stale
-        for j in range(1, k + 1):
-            assert st.near[j] == _comparable_bits(st.fams[j], n)
-        for m in range(1, (1 << n) - 1):
-            if not st.labels[m]:
-                assert st.owner(m) == -1, m
+        check(st)
         checked += 1
         return snapshot(st)
 
@@ -1256,6 +1295,58 @@ def test_every_step_starts_maximal(monkeypatch, n, k, product, restart):
     steps = 1000 if n < 7 else 350
     _kernels_py.anneal_chain(*_anneal_args(n, k, product, 1, steps, restart))
     assert checked == steps
+
+
+@pytest.mark.parametrize("n,k,product,restart", STEP_CHAINS)
+def test_every_step_starts_maximal(monkeypatch, n, k, product, restart):
+    # the add move only draws: at the start of every step no family is
+    # stale, each near is its family's closure, and every unlabeled
+    # usable mask is near two or more families, so none can be placed.
+    # The support is not empty, so the support moves can draw a member,
+    # and no family is near a member of another: the labeling is
+    # cross-Sperner
+    def check(st):
+        assert not st.stale
+        for j in range(1, k + 1):
+            assert st.near[j] == _comparable_bits(st.fams[j], n)
+            assert not st.near[j] & st.support & ~st.fams[j]
+        for m in range(1, (1 << n) - 1):
+            if not st.labels[m]:
+                assert st.owner(m) == -1, m
+        assert st.support_count == st.support.bit_count() > 0
+
+    _at_every_step_start(monkeypatch, n, k, product, restart, check)
+
+
+@pytest.mark.parametrize("n,k,product,restart", STEP_CHAINS)
+def test_move_test_matches_the_placement_rule(monkeypatch, n, k, product, restart):
+    # the move to another family lets member m of family j go when no
+    # other member of j is comparable to it; at every step start that is
+    # the placement rule's verdict after m leaves: owner(m) in (0, jj)
+    # once m is removed and j reclosed, for every other family jj
+    from sperner.search._kernels_py import _AnnealState
+
+    snapshot = _AnnealState.snapshot  # before the chain's hook replaces it
+    verdicts = set()
+
+    def check(st):
+        old = _AnnealState(n, k)
+        old.load(st.labels)
+        start = snapshot(old)
+        for m in bit_positions(st.support):
+            j = st.labels[m]
+            free = st.one(m) & st.fams[j] == 1 << m
+            old.remove(m)
+            old.refresh()
+            for jj in range(1, k + 1):
+                if jj != j:
+                    assert (old.owner(m) in (0, jj)) == free, (m, j, jj)
+            old.restore(start)
+            verdicts.add(free)
+
+    _at_every_step_start(monkeypatch, n, k, product, restart, check)
+    # at n = 2 the proper masks 1 and 2 are incomparable, so each may go
+    assert verdicts == ({True} if n == 2 else {True, False})
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 4)])
@@ -1622,7 +1713,8 @@ def _ubsan_build(gcc, source, lib):
     return str(lib)
 
 
-def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity):
+def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity,
+                                             anneal_parity):
     # the parity cases and the upsets of every gated ground on a sanitized
     # build, in a process of their own since a check that fires aborts it;
     # the 64-mask case shifts rows by up to 63 bits
@@ -1644,6 +1736,8 @@ def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity
     calls = tmp_path / "calls.json"
     calls.write_text(json.dumps({"exact": [args for args, _ in exact_parity],
                                  "comp": [args for args, _ in comp_parity],
+                                 "anneal": [args[:3] + (args[3].hex(),) + args[4:]
+                                            for args, _ in anneal_parity],
                                  "upsets": list(range(TABLE_MAX_GROUND + 1))}))
     code = textwrap.dedent("""
         import json, sys
@@ -1652,9 +1746,13 @@ def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity
         with open(sys.argv[2]) as fh:
             calls = json.load(fh)
         exact = [lib.exact_search(*args) for args in calls["exact"]]
+        anneal = [lib.anneal_chain(*args[:3], bytes.fromhex(args[3]), *args[4:])
+                  for args in calls["anneal"]]
         json.dump({"exact": [(b, labels and labels.hex(), nodes, done)
                              for b, labels, nodes, done in exact],
                    "comp": [lib.comp_scan(*args) for args in calls["comp"]],
+                   "anneal": [(b, labels.hex(), steps, state)
+                              for b, labels, steps, state in anneal],
                    "upsets": [lib.upset_orbits(n) for n in calls["upsets"]]},
                   sys.stdout)
     """)
@@ -1665,6 +1763,8 @@ def test_kernels_free_of_undefined_behaviour(tmp_path, exact_parity, comp_parity
     assert out["exact"] == [[b, labels and labels.hex(), nodes, done]
                             for _, (b, labels, nodes, done) in exact_parity]
     assert out["comp"] == [list(map(list, pure)) for _, pure in comp_parity]
+    assert out["anneal"] == [[b, labels.hex(), steps, state]
+                             for _, (b, labels, steps, state) in anneal_parity]
     assert out["upsets"] == [list(map(list, _kernels_py.upset_orbits(n)))
                              for n in range(TABLE_MAX_GROUND + 1)]
 

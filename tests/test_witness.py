@@ -226,6 +226,7 @@ def _base():
         (lambda d: d.update(n=99), "outside"),
         (lambda d: d.update(k=0), "positive"),
         (lambda d: d.update(encoding="sets"), "encoding"),
+        (lambda d: d.update(families={}), "families must be a list"),
         (lambda d: d.update(families=[[1]]), "expected k"),
         (lambda d: d.update(families=[[1], []]), "non-empty"),
         (lambda d: d.update(families=[[1], [0]]), "proper"),
